@@ -49,6 +49,8 @@ def wrap_azimuth(angle):
 def normalize_yaw(yaw):
     """Wrap heading(s) into [-pi, pi). Idempotent: in-range values pass
     through bit-identical."""
+    if type(yaw) is float and -math.pi <= yaw < math.pi:
+        return yaw
     in_range = np.logical_and(np.greater_equal(yaw, -math.pi), np.less(yaw, math.pi))
     wrapped = np.mod(np.asarray(yaw, dtype=np.float64) + math.pi, TWO_PI) - math.pi
     wrapped = np.where(wrapped >= math.pi, -math.pi, wrapped)

@@ -1,9 +1,11 @@
 """Detector-oracle contract and the desk-scale reference implementation.
 
-The reference detector clusters points by connected components on a 2D
-occupancy grid and fits axis-aligned boxes; it has no trainable state, so
-"training" passes in the pipeline reduce to loss evaluation. Real
-detectors plug in through the same contract.
+The reference detector clusters points by 8-connected components over the
+occupied cells of a 2D grid and fits axis-aligned boxes. Only occupied
+cells are stored, so cost follows the point count, not the scene extent,
+and a far outlier cannot blow up memory. The detector has no trainable
+state, so "training" passes in the pipeline reduce to loss evaluation.
+Real detectors plug in through the same contract.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .adversarial import GradientField, surrogate_loss
 from .geometry import Box3D, Scene
@@ -30,13 +31,54 @@ class DetectorOracle(Protocol):
     ) -> tuple[float, GradientField]: ...
 
 
+def _component_labels(cells: np.ndarray, width: int) -> np.ndarray:
+    """8-connected component of each occupied cell, numbered 0, 1, ... in
+    the raster order of each component's first cell.
+
+    cells are sorted, unique raster keys i * width + j + 1, where width
+    leaves an empty guard column on each side of every row. Union-find
+    over the edges to the forward neighbours (E, SW, S, SE): roots are
+    hooked onto the smaller root, then every pointer jumps to its root,
+    until each edge joins equal roots. A root is then its component's
+    smallest index, i.e. its first cell in raster order.
+    """
+    n = cells.size
+    idx = np.arange(n)
+    src, dst = [], []
+    for offset in (1, width - 1, width, width + 1):
+        pos = np.minimum(np.searchsorted(cells, cells + offset), n - 1)
+        hit = cells[pos] == cells + offset
+        src.append(idx[hit])
+        dst.append(pos[hit])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    parent = idx.copy()
+    while True:
+        root_src, root_dst = parent[src], parent[dst]
+        split = root_src != root_dst
+        if not split.any():
+            break
+        root_src, root_dst = root_src[split], root_dst[split]
+        low = np.minimum(root_src, root_dst)
+        np.minimum.at(parent, root_src, low)
+        np.minimum.at(parent, root_dst, low)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    is_root = parent == idx
+    return (np.cumsum(is_root) - 1)[parent]
+
+
 @dataclass(frozen=True)
 class GridClusterOracle:
     """Connected-component clustering detector.
 
     Points are binned into cell_size cells in the xy-plane; 8-connected
-    components with at least min_points members become axis-aligned boxes
-    with score = min(1, points / score_saturation).
+    components of occupied cells with at least min_points members become
+    axis-aligned boxes with score = min(1, points / score_saturation).
+    Boxes come out in the raster order (x cell, then y cell) of each
+    component's first cell. There is no limit on the scene extent.
     """
 
     cell_size: float = 1.0
@@ -44,43 +86,40 @@ class GridClusterOracle:
     score_saturation: int = 50
     smooth_l1_knee: float = 1.0
     min_box_size: float = 0.1
-    max_grid_cells: int = 16_000_000
 
     def predict(self, scene: Scene) -> list[Box3D]:
         if scene.n_points == 0:
             return []
-        ij = np.floor(scene.xyz[:, :2] / self.cell_size).astype(np.int64)
-        lo = ij.min(axis=0)
-        ij -= lo
-        shape = ij.max(axis=0) + 1
-        if int(shape[0]) * int(shape[1]) > self.max_grid_cells:
-            raise ValueError(f"scene extent too large for clustering grid ({shape})")
-        grid = np.zeros(shape, dtype=bool)
-        grid[ij[:, 0], ij[:, 1]] = True
-        labels, n_labels = ndimage.label(grid, structure=np.ones((3, 3), dtype=bool))
-        point_labels = labels[ij[:, 0], ij[:, 1]]
-        boxes = []
-        for label in range(1, n_labels + 1):
-            member = point_labels == label
-            count = int(member.sum())
-            if count < self.min_points:
-                continue
-            pts = scene.xyz[member]
-            mn, mx = pts.min(axis=0), pts.max(axis=0)
-            sizes = np.maximum(mx - mn, self.min_box_size)
-            center = (mn + mx) / 2.0
-            boxes.append(
-                Box3D(
-                    *center,
-                    w=float(sizes[1]),
-                    l=float(sizes[0]),
-                    h=float(sizes[2]),
-                    yaw=0.0,
-                    class_id=0,
-                    score=min(1.0, count / self.score_saturation),
-                )
+        xyz = scene.xyz
+        ij = np.floor(xyz[:, :2] / self.cell_size).astype(np.int64)
+        ij -= ij.min(axis=0)
+        # Raster keys with an empty guard column on each side of every row,
+        # so a cell's W/E neighbour never wraps onto the adjacent row.
+        width = int(ij[:, 1].max()) + 3
+        cells, cell_of_point = np.unique(ij[:, 0] * width + ij[:, 1] + 1, return_inverse=True)
+        label = _component_labels(cells, width)[cell_of_point]
+
+        sorted_xyz = xyz[np.argsort(label, kind="stable")]
+        counts = np.bincount(label)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        mn = np.minimum.reduceat(sorted_xyz, starts, axis=0)
+        mx = np.maximum.reduceat(sorted_xyz, starts, axis=0)
+        keep = counts >= self.min_points
+        mn, mx, counts = mn[keep], mx[keep], counts[keep]
+        sizes = np.maximum(mx - mn, self.min_box_size)
+        centers = (mn + mx) / 2.0
+        return [
+            Box3D(
+                *center,
+                w=size[1],
+                l=size[0],
+                h=size[2],
+                yaw=0.0,
+                class_id=0,
+                score=min(1.0, count / self.score_saturation),
             )
-        return boxes
+            for center, size, count in zip(centers.tolist(), sizes.tolist(), counts.tolist())
+        ]
 
     def loss_and_gradient(
         self, scene: Scene, boxes: Sequence[Box3D]

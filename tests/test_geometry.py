@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -91,6 +92,30 @@ class TestYawNormalization:
     def test_in_range_untouched(self):
         assert normalize_yaw(1e-17) == 1e-17
         assert normalize_yaw(-math.pi) == -math.pi
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from(
+            [
+                math.pi,
+                -math.pi,
+                math.nextafter(math.pi, 0.0),
+                math.nextafter(-math.pi, -4.0),
+                1e-17,
+                -1e-17,
+                0.0,
+                -0.0,
+                3.0 * math.pi,
+                -7.5,
+                1e300,
+            ]
+        )
+    )
+    def test_scalar_fast_path_matches_array_path(self, yaw):
+        fast = normalize_yaw(yaw)
+        for via_array in (normalize_yaw(np.float64(yaw)), float(normalize_yaw(np.array([yaw]))[0])):
+            assert type(fast) is float
+            assert struct.pack("<d", fast) == struct.pack("<d", via_array)
 
 
 class TestBox3D:

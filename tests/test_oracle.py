@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import cluster_scene
-from lidarmix.geometry import Scene, points_in_box
+from lidarmix.geometry import Box3D, Scene, points_in_box
 from lidarmix.oracle import GridClusterOracle
+from lidarmix.pipeline import PipelineConfig, run_full
+from lidarmix.synth import synthesize_dataset
 
 
 class TestGridClusterOracle:
@@ -59,7 +64,87 @@ class TestGridClusterOracle:
         box = GridClusterOracle().predict(Scene(pts))[0]
         assert box.h == pytest.approx(0.1)
 
-    def test_huge_extent_rejected(self):
-        pts = np.array([[0, 0, 0, 0], [1e7, 1e7, 0, 0]], dtype=float)
-        with pytest.raises(ValueError):
-            GridClusterOracle().predict(Scene(pts))
+    def test_far_outlier_keeps_cluster(self, rng):
+        cluster = np.column_stack([rng.uniform(-0.4, 0.4, (6, 3)) + [10.0, 0.0, 0.0], np.zeros(6)])
+        outliers = np.array([[0.0, 0.0, 0.0, 0.0], [5000.0, 5000.0, 0.0, 0.0]])
+        boxes = GridClusterOracle().predict(Scene(np.vstack([outliers, cluster])))
+        mn, mx = cluster[:, :3].min(axis=0), cluster[:, :3].max(axis=0)
+        sizes = np.maximum(mx - mn, 0.1)
+        assert boxes == [
+            Box3D(*((mn + mx) / 2.0), w=sizes[1], l=sizes[0], h=sizes[2], yaw=0.0, score=6 / 50)
+        ]
+
+    def test_run_full_survives_far_outlier(self):
+        bundle = synthesize_dataset(0)
+        scene = bundle.target_unlabeled[0]
+        scene.points = np.vstack([scene.points, [[5000.0, 5000.0, 0.0, 0.0]]])
+        report_tm, report_am = run_full(PipelineConfig(seed=0), bundle)
+        assert report_tm.to_dict() and report_am.to_dict()
+
+
+def reference_predict(oracle: GridClusterOracle, scene: Scene) -> list[Box3D]:
+    """Dense-grid reference: scipy.ndimage.label over the whole bounding
+    grid, then one mask per component."""
+    if scene.n_points == 0:
+        return []
+    ij = np.floor(scene.xyz[:, :2] / oracle.cell_size).astype(np.int64)
+    ij -= ij.min(axis=0)
+    grid = np.zeros(ij.max(axis=0) + 1, dtype=bool)
+    grid[ij[:, 0], ij[:, 1]] = True
+    labels, n_labels = ndimage.label(grid, structure=np.ones((3, 3), dtype=bool))
+    point_labels = labels[ij[:, 0], ij[:, 1]]
+    boxes = []
+    for label in range(1, n_labels + 1):
+        member = point_labels == label
+        count = int(member.sum())
+        if count < oracle.min_points:
+            continue
+        pts = scene.xyz[member]
+        mn, mx = pts.min(axis=0), pts.max(axis=0)
+        sizes = np.maximum(mx - mn, oracle.min_box_size)
+        boxes.append(
+            Box3D(
+                *((mn + mx) / 2.0),
+                w=float(sizes[1]),
+                l=float(sizes[0]),
+                h=float(sizes[2]),
+                yaw=0.0,
+                score=min(1.0, count / oracle.score_saturation),
+            )
+        )
+    return boxes
+
+
+@st.composite
+def clouds(draw):
+    """(N, 4) clouds, N >= 1, some collinear along x, y or a diagonal and
+    some with duplicated rows."""
+    extent = draw(st.sampled_from([0.5, 3.0, 10.0, 40.0]))
+    coord = st.floats(-extent, extent, allow_nan=False, width=64)
+    xyz = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=300)))
+    shape = draw(st.sampled_from(["scatter", "x-line", "y-line", "diagonal", "duplicates"]))
+    if shape == "x-line":
+        xyz[:, 1] = xyz[0, 1]
+    elif shape == "y-line":
+        xyz[:, 0] = xyz[0, 0]
+    elif shape == "diagonal":
+        xyz[:, 1] = xyz[:, 0]
+    elif shape == "duplicates":
+        xyz = np.repeat(xyz, draw(st.integers(2, 6)), axis=0)
+    return np.column_stack([xyz, np.zeros(len(xyz))])
+
+
+class TestDenseGridEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(clouds(), st.sampled_from([0.25, 0.5, 0.7, 1.0, 2.0]), st.integers(1, 8))
+    def test_same_boxes_same_order(self, points, cell_size, min_points):
+        oracle = GridClusterOracle(cell_size=cell_size, min_points=min_points)
+        scene = Scene(points)
+        assert oracle.predict(scene) == reference_predict(oracle, scene)
+
+    @pytest.mark.parametrize("cell_size", [0.5, 1.0, 2.0])
+    def test_synthetic_bundle(self, cell_size):
+        oracle = GridClusterOracle(cell_size=cell_size)
+        bundle = synthesize_dataset(1)
+        for scene in bundle.source + bundle.target_labeled + bundle.target_unlabeled:
+            assert oracle.predict(scene) == reference_predict(oracle, scene)
