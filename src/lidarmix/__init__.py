@@ -11,9 +11,8 @@ from .adversarial import (
     GradientProvider,
     OneSidedEmpty,
     PerturbationConfig,
-    adversarial_perturb,
+    adversarial_perturb_detailed,
     advmix_sample,
-    batch_consistency,
     consistency_loss,
     perturbation_delta,
     point_mixup,
@@ -23,16 +22,13 @@ from .geometry import (
     Box3D,
     DomainTag,
     NonPositiveScale,
-    Point,
     Scene,
-    SphericalCoord,
-    ZeroVector,
     apply_rigid_transform,
-    cart_to_spherical,
     normalize_yaw,
     points_in_box,
-    spherical_to_cart,
+    spherical_from_xyz,
     wrap_azimuth,
+    xyz_from_spherical,
 )
 from .oracle import DetectorOracle, GridClusterOracle
 from .pipeline import (

@@ -137,14 +137,13 @@ def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:
 
 @dataclass
 class PerturbOutcome:
-    """Bookkeeping from one adversarial_perturb call."""
+    """Bookkeeping from one adversarial_perturb_detailed call."""
 
     candidates: int = 0
     translated: int = 0
     added: int = 0
     removed: int = 0
     max_norm_deviation: float = 0.0
-    loss_before: float = 0.0
 
 
 def adversarial_perturb_detailed(
@@ -154,7 +153,16 @@ def adversarial_perturb_detailed(
     cfg: PerturbationConfig,
     rng: np.random.Generator,
 ) -> tuple[Scene, PerturbOutcome]:
-    """adversarial_perturb plus counters (see there)."""
+    """Perturb points inside the pseudo-label boxes.
+
+    Each in-box point is selected independently with probability rho; a
+    selected point is translated by delta, duplicated at its position plus
+    delta, or removed, according to the mode weights. Selected points with
+    a zero gradient have nothing to move along, so translate and add skip
+    them. Points outside every box are untouched, and the pseudo boxes ride
+    along as the output's labels. Returns the perturbed scene and its
+    counters.
+    """
     if scene.domain_tag is not DomainTag.TARGET_UNLABELED:
         raise ValueError(f"expected a TARGET_UNLABELED scene, got {scene.domain_tag}")
     boxes = list(pseudo_boxes)
@@ -163,8 +171,7 @@ def adversarial_perturb_detailed(
         out = Scene(scene.points.copy(), boxes, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
         return out, outcome
 
-    loss, field = provider.loss_and_gradient(scene, boxes)
-    outcome.loss_before = float(loss)
+    _, field = provider.loss_and_gradient(scene, boxes)
     delta = perturbation_delta(field, cfg.epsilon)
 
     candidates = np.unique(np.concatenate([points_in_box(scene, b) for b in boxes]))
@@ -172,52 +179,27 @@ def adversarial_perturb_detailed(
     selected = candidates[rng.random(candidates.size) < cfg.rho]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)
 
+    moving = delta[selected].any(axis=1)
+    translate = selected[(modes == 0) & moving]
+    add = selected[(modes == 1) & moving]
+    remove = selected[modes == 2]
+    outcome.translated, outcome.added, outcome.removed = translate.size, add.size, remove.size
+    moved = delta[np.concatenate([translate, add])]
+    if moved.size:
+        # row @ column takes the same BLAS dot as np.linalg.norm of one row
+        norms = np.sqrt((moved[:, None, :] @ moved[:, :, None]).ravel())
+        outcome.max_norm_deviation = float(np.abs(norms - cfg.epsilon).max())
+
     pts = scene.points.copy()
+    pts[translate, :3] += delta[translate]
+    added = scene.points[add]
+    added[:, :3] += delta[add]
     keep = np.ones(scene.n_points, dtype=bool)
-    added_rows = []
-    for idx, mode in zip(selected, modes):
-        d = delta[idx]
-        if mode == 2:
-            keep[idx] = False
-            outcome.removed += 1
-            continue
-        if not d.any():
-            continue  # zero gradient: nothing to move along
-        dev = abs(float(np.linalg.norm(d)) - cfg.epsilon)
-        outcome.max_norm_deviation = max(outcome.max_norm_deviation, dev)
-        if mode == 0:
-            pts[idx, :3] += d
-            outcome.translated += 1
-        else:
-            row = scene.points[idx].copy()
-            row[:3] += d
-            added_rows.append(row)
-            outcome.added += 1
-
-    out_pts = pts[keep]
-    if added_rows:
-        out_pts = np.vstack([out_pts, np.array(added_rows)])
-    out = Scene(out_pts, boxes, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
+    keep[remove] = False
+    out = Scene(
+        np.vstack([pts[keep], added]), boxes, DomainTag.TARGET_UNLABELED, pseudo_labeled=True
+    )
     return out, outcome
-
-
-def adversarial_perturb(
-    scene: Scene,
-    pseudo_boxes: Sequence[Box3D],
-    provider: GradientProvider,
-    cfg: PerturbationConfig,
-    rng: np.random.Generator,
-) -> Scene:
-    """Perturb points inside the pseudo-label boxes.
-
-    Each in-box point is selected independently with probability rho; a
-    selected point is translated by delta, duplicated at its position plus
-    delta, or removed, according to the mode weights. Points outside every
-    box are untouched, and the pseudo boxes ride along as the output's
-    labels.
-    """
-    out, _ = adversarial_perturb_detailed(scene, pseudo_boxes, provider, cfg, rng)
-    return out
 
 
 def point_mixup(a: Scene, b: Scene) -> Scene:
@@ -252,20 +234,6 @@ def consistency_loss(boxes_am: Sequence[Box3D], boxes_pm: Sequence[Box3D]) -> fl
     b = _box_vectors(boxes_pm)
     dist = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
     return float((dist.min(axis=1).sum() + dist.min(axis=0).sum()) / (n_am + n_pm))
-
-
-def batch_consistency(samples: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]) -> float:
-    """Mean consistency loss over samples where it is defined; one-sided
-    empty samples are skipped (excluded from numerator and denominator)."""
-    values = []
-    for boxes_am, boxes_pm in samples:
-        try:
-            values.append(consistency_loss(boxes_am, boxes_pm))
-        except OneSidedEmpty:
-            continue
-    if not values:
-        return 0.0
-    return float(np.mean(values))
 
 
 def advmix_sample(

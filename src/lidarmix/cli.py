@@ -7,6 +7,7 @@ Subcommands: match, mix, adv, pipeline, synth, gradcheck. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -22,20 +23,21 @@ from .pipeline import run_full
 from .sector_mix import sample_sectors, polar_mix
 from .sensor import lidar_distribution_match
 from .synth import synthesize_dataset
-from .adversarial import adversarial_perturb
+from .adversarial import adversarial_perturb_detailed
 
 
 def _load_cfg(args) -> "lio.PipelineConfig":
     cfg = lio.load_config(args.config) if args.config else lio.PipelineConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = lio.replace_config(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def _cmd_match(args) -> int:
     cfg = _load_cfg(args)
+    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     scene = lio.read_cloud(args.cloud, DomainTag.SOURCE)
-    out = lidar_distribution_match(scene, cfg.source_spec, cfg.target_spec)
+    out = lidar_distribution_match(scene, cfg.source_spec, cfg.target_spec, rng, cfg.random_stride)
     lio.write_cloud(out, args.out)
     print(f"matched {scene.n_points} -> {out.n_points} points into {args.out}")
     return 0
@@ -50,7 +52,9 @@ def _cmd_mix(args) -> int:
     target = lio.read_cloud(args.target_cloud, DomainTag.TARGET_LABELED)
     if args.target_labels:
         target.boxes = lio.read_labels(args.target_labels)
-    matched = lidar_distribution_match(source, cfg.source_spec, cfg.target_spec)
+    matched = lidar_distribution_match(
+        source, cfg.source_spec, cfg.target_spec, rng, cfg.random_stride
+    )
     mask = sample_sectors(rng, cfg.sectors.k, cfg.sectors.min_width, cfg.sectors.max_width)
     mixed = polar_mix(matched, target, mask)
     lio.write_cloud(mixed, f"{args.out}.bin")
@@ -65,7 +69,7 @@ def _cmd_adv(args) -> int:
     scene = lio.read_cloud(args.cloud, DomainTag.TARGET_UNLABELED)
     boxes = lio.read_labels(args.labels)
     provider = GridClusterOracle(smooth_l1_knee=cfg.smooth_l1_knee)
-    out = adversarial_perturb(scene, boxes, provider, cfg.perturbation, rng)
+    out, _ = adversarial_perturb_detailed(scene, boxes, provider, cfg.perturbation, rng)
     lio.write_cloud(out, f"{args.out}.bin")
     lio.write_labels(out.boxes, f"{args.out}.txt")
     print(f"perturbed scene: {scene.n_points} -> {out.n_points} points -> {args.out}.bin/.txt")
@@ -77,7 +81,7 @@ def _cmd_pipeline(args) -> int:
     if args.config:
         cfg = lio.load_config(args.config)
     if args.seed is not None:
-        cfg = lio.replace_config(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     report_tm, report_am = run_full(cfg, bundle)
     summary = json.dumps(
         {"targetmix": report_tm.to_dict(), "advmix": report_am.to_dict()},

@@ -11,15 +11,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-class ZeroVector(ValueError):
-    """Spherical conversion is undefined at the origin."""
 
 
 class NonPositiveScale(ValueError):
@@ -58,45 +53,6 @@ def normalize_yaw(yaw):
     if np.ndim(yaw) == 0:
         return float(out)
     return out
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
-    z: float
-    intensity: float = 0.0
-
-
-class SphericalCoord(NamedTuple):
-    azimuth: float
-    elevation: float
-    range: float
-
-
-def cart_to_spherical(p: Point) -> SphericalCoord:
-    """Convert a Cartesian point to (azimuth, elevation, range).
-
-    Raises ZeroVector at the origin; points on the +-z axis are valid and
-    get azimuth 0.
-    """
-    if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z)):
-        raise ValueError(f"non-finite point {p}")
-    if p.x == 0.0 and p.y == 0.0 and p.z == 0.0:
-        raise ZeroVector("azimuth undefined at the origin")
-    azimuth = wrap_azimuth(math.atan2(p.y, p.x))
-    elevation = math.atan2(p.z, math.hypot(p.x, p.y))
-    return SphericalCoord(azimuth, elevation, math.hypot(p.x, p.y, p.z))
-
-
-def spherical_to_cart(s: SphericalCoord, intensity: float = 0.0) -> Point:
-    """Inverse of cart_to_spherical (intensity is passed through)."""
-    cos_el = math.cos(s.elevation)
-    return Point(
-        s.range * cos_el * math.cos(s.azimuth),
-        s.range * cos_el * math.sin(s.azimuth),
-        s.range * math.sin(s.elevation),
-        intensity,
-    )
 
 
 def spherical_from_xyz(xyz: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ degrees; everything is radians internally, converted once at parse time.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
 from typing import Sequence
@@ -103,38 +102,8 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-# key -> converter from the raw string
-_CONFIG_PARSERS = {
-    "source_channels": int,
-    "source_points_per_channel": int,
-    "source_vfov_min_deg": float,
-    "source_vfov_max_deg": float,
-    "target_channels": int,
-    "target_points_per_channel": int,
-    "target_vfov_min_deg": float,
-    "target_vfov_max_deg": float,
-    "p_tm": float,
-    "p_am": float,
-    "lambda": float,
-    "epsilon": float,
-    "rho": float,
-    "k_sectors": int,
-    "sector_min_width_deg": float,
-    "sector_max_width_deg": float,
-    "epochs_tm": int,
-    "epochs_am": int,
-    "seed": int,
-    "pseudo_score_threshold": float,
-    "mode_weight_translate": float,
-    "mode_weight_add": float,
-    "mode_weight_remove": float,
-    "smooth_l1_knee": float,
-    "random_stride": _parse_bool,
-    "augment_labeled": _parse_bool,
-}
-
-
 def _config_values(cfg: PipelineConfig) -> dict:
+    """Every config key with its value in file units, in file order."""
     return {
         "source_channels": cfg.source_spec.channels,
         "source_points_per_channel": cfg.source_spec.points_per_channel,
@@ -169,6 +138,12 @@ def parse_config(text: str, defaults: PipelineConfig | None = None) -> PipelineC
     """Parse flat key = value text into a PipelineConfig. Unknown keys are
     rejected; values are validated by the config dataclasses."""
     values = _config_values(defaults if defaults is not None else PipelineConfig())
+    # each key's parser is the type of its default; bool("false") is True,
+    # so booleans get _parse_bool
+    parsers = {
+        key: _parse_bool if isinstance(value, bool) else type(value)
+        for key, value in _config_values(PipelineConfig()).items()
+    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,10 +152,10 @@ def parse_config(text: str, defaults: PipelineConfig | None = None) -> PipelineC
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value)
+            values[key] = parsers[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     try:
@@ -227,14 +202,15 @@ def parse_config(text: str, defaults: PipelineConfig | None = None) -> PipelineC
 
 
 def format_config(cfg: PipelineConfig) -> str:
-    values = _config_values(cfg)
+    """Floats are written with repr, so they read back exactly. Angles in
+    degrees are rounded to 9 significant digits, which hides the rounding
+    of radians -> degrees for a value that was read from a file."""
     lines = []
-    for key in _CONFIG_PARSERS:
-        value = values[key]
+    for key, value in _config_values(cfg).items():
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
-            value = f"{value:.9g}"
+            value = f"{value:.9g}" if key.endswith("_deg") else repr(value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -296,7 +272,3 @@ def save_manifest(bundle: DatasetBundle, cfg: PipelineConfig, root: str | Path) 
             if with_labels:
                 write_labels(scene.boxes, directory / f"{i:04d}.txt")
     save_config(cfg, root / "config.txt")
-
-
-def replace_config(cfg: PipelineConfig, **kwargs) -> PipelineConfig:
-    return dataclasses.replace(cfg, **kwargs)

@@ -248,10 +248,11 @@ def run_advmix_stage(
     student's detection losses plus the weighted consistency term.
 
     The random rigid-transform augmentation is gated to target-labeled
-    scenes only; one-sided-empty consistency samples are skipped.
+    scenes only. One-sided-empty consistency samples are skipped: they
+    count in consistency_skipped and stay out of mean_consistency_loss.
     """
-    if not target_labeled:
-        raise EmptyDataset("stage 2 needs a non-empty target-labeled set")
+    if not target_labeled or not pseudo_labeled:
+        raise EmptyDataset("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
     rng = _stage_rng(cfg.seed, 2)
     n_tl, n_tu = len(target_labeled), len(pseudo_labeled)
     report = StageReport("advmix", cfg.seed)
@@ -261,8 +262,7 @@ def run_advmix_stage(
         det_losses = []
         total_losses = []
         cons_values = []
-        order = rng.permutation(n_tl + n_tu) if n_tu > 0 else np.empty(0, dtype=np.intp)
-        for slot in order:
+        for slot in rng.permutation(n_tl + n_tu):
             if slot < n_tl:
                 labeled = target_labeled[slot]
                 unlabeled = pseudo_labeled[int(rng.integers(n_tu))]
@@ -296,10 +296,9 @@ def run_advmix_stage(
                 stats.consistency_skipped += 1
                 total_losses.append(det)
             stats.scenes_processed += 1
-        if stats.scenes_processed:
-            stats.mixed_fraction = stats.mixed_scenes / stats.scenes_processed
-            stats.mean_detection_loss = float(np.mean(det_losses))
-            stats.mean_total_loss = float(np.mean(total_losses))
+        stats.mixed_fraction = stats.mixed_scenes / stats.scenes_processed
+        stats.mean_detection_loss = float(np.mean(det_losses))
+        stats.mean_total_loss = float(np.mean(total_losses))
         if cons_values:
             stats.mean_consistency_loss = float(np.mean(cons_values))
             stats.consistency_samples = len(cons_values)

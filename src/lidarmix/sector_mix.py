@@ -105,10 +105,7 @@ def sample_sectors(
 ) -> SectorMask:
     """Draw K disjoint sectors with widths uniform in [min_width, max_width]
     by rejection sampling (at most 1000 attempts)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (0.0 < min_width <= max_width):
-        raise ValueError(f"need 0 < min_width <= max_width, got ({min_width}, {max_width})")
+    SectorParams(k, min_width, max_width)  # raises ValueError on bad arguments
     for _ in range(1000):
         widths = rng.uniform(min_width, max_width, size=k)
         if widths.sum() >= TWO_PI:

@@ -226,14 +226,16 @@ def lidar_distribution_match(
 
     Composition: build_range_image -> downsample -> backproject. Labels are
     copied verbatim, even for boxes emptied of points. With random_stride
-    the stride offsets are drawn per scene for training diversity instead
-    of always starting at index 0.
+    the stride offsets are drawn per scene from rng (required then) for
+    training diversity instead of always starting at index 0.
     """
     if scene.domain_tag is not DomainTag.SOURCE:
         raise ValueError(f"expected a SOURCE-tagged scene, got {scene.domain_tag}")
+    if random_stride and rng is None:
+        raise ValueError("random_stride needs an rng to draw the stride offsets from")
     v, h = downsample_factors(src, tgt)
     row_offset = col_offset = 0
-    if random_stride and rng is not None:
+    if random_stride:
         row_offset = int(rng.integers(v))
         col_offset = int(rng.integers(h))
     img = downsample_range_image(build_range_image(scene, src), v, h, row_offset, col_offset)

@@ -12,7 +12,7 @@ import pytest
 from conftest import cluster_scene, random_box, random_scene
 from lidarmix.adversarial import (
     PerturbationConfig,
-    adversarial_perturb,
+    adversarial_perturb_detailed,
     advmix_sample,
     consistency_loss,
     surrogate_loss,
@@ -128,7 +128,7 @@ def test_criterion_5_descent_property():
             scene = cluster_scene(rng, centers, n_per=int(rng.integers(20, 50)))
             bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
             before, _ = provider.loss_and_gradient(bare, scene.boxes)
-            out = adversarial_perturb(bare, scene.boxes, provider, cfg, rng)
+            out, _ = adversarial_perturb_detailed(bare, scene.boxes, provider, cfg, rng)
             after, _ = provider.loss_and_gradient(out, scene.boxes)
             if after < before:
                 reduced += 1

@@ -9,10 +9,9 @@ from lidarmix.adversarial import (
     GradientField,
     OneSidedEmpty,
     PerturbationConfig,
-    adversarial_perturb,
+    PerturbOutcome,
     adversarial_perturb_detailed,
     advmix_sample,
-    batch_consistency,
     consistency_loss,
     perturbation_delta,
     point_mixup,
@@ -20,6 +19,7 @@ from lidarmix.adversarial import (
 )
 from lidarmix.geometry import Box3D, DomainTag, Scene, points_in_box
 from lidarmix.gradcheck import gradient_relative_error, make_gradcheck_fixture
+from lidarmix.pipeline import PipelineConfig, run_advmix_stage
 
 
 class SurrogateProvider:
@@ -114,13 +114,61 @@ class TestPerturbationDelta:
         assert cfg.mode_weights == (1 / 3, 1 / 3, 1 / 3)
 
 
+class ZeroingProvider(SurrogateProvider):
+    """Surrogate loss with the gradient zeroed on the rows in zero_rows."""
+
+    def __init__(self, zero_rows):
+        super().__init__()
+        self.zero_rows = zero_rows
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = super().loss_and_gradient(scene, boxes)
+        grads = field.grads.copy()
+        grads[self.zero_rows] = 0.0
+        return loss, GradientField(grads)
+
+
+def reference_perturb(scene, boxes, provider, cfg, rng):
+    """Per-selected-point reference for adversarial_perturb_detailed with
+    the same draws: remove counts every selected point, translate and add
+    skip points with a zero gradient."""
+    _, field = provider.loss_and_gradient(scene, boxes)
+    delta = perturbation_delta(field, cfg.epsilon)
+    candidates = np.unique(np.concatenate([points_in_box(scene, b) for b in boxes]))
+    outcome = PerturbOutcome(candidates=int(candidates.size))
+    selected = candidates[rng.random(candidates.size) < cfg.rho]
+    modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)
+    pts = scene.points.copy()
+    keep = np.ones(scene.n_points, dtype=bool)
+    added_rows = []
+    for idx, mode in zip(selected, modes):
+        d = delta[idx]
+        if mode == 2:
+            keep[idx] = False
+            outcome.removed += 1
+            continue
+        if not d.any():
+            continue
+        dev = abs(float(np.linalg.norm(d)) - cfg.epsilon)
+        outcome.max_norm_deviation = max(outcome.max_norm_deviation, dev)
+        if mode == 0:
+            pts[idx, :3] += d
+            outcome.translated += 1
+        else:
+            row = scene.points[idx].copy()
+            row[:3] += d
+            added_rows.append(row)
+            outcome.added += 1
+    return np.vstack([pts[keep], *added_rows]), outcome
+
+
 class TestAdversarialPerturb:
     def test_rho_zero_only_attaches_labels(self, rng):
         scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0)])
         boxes = scene.boxes
         bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
         cfg = PerturbationConfig(rho=0.0)
-        out = adversarial_perturb(bare, boxes, SurrogateProvider(), cfg, rng)
+        out, _ = adversarial_perturb_detailed(bare, boxes, SurrogateProvider(), cfg, rng)
         assert np.array_equal(out.points, bare.points)
         assert out.boxes == boxes
         assert out.pseudo_labeled
@@ -132,7 +180,7 @@ class TestAdversarialPerturb:
             np.vstack([outside, scene.points]), [], DomainTag.TARGET_UNLABELED
         )
         cfg = PerturbationConfig(rho=1.0)
-        out = adversarial_perturb(merged, scene.boxes, SurrogateProvider(), cfg, rng)
+        out, _ = adversarial_perturb_detailed(merged, scene.boxes, SurrogateProvider(), cfg, rng)
         assert np.array_equal(out.points[:2], outside)
 
     def test_point_count_accounting(self, rng):
@@ -155,7 +203,7 @@ class TestAdversarialPerturb:
             scene = cluster_scene(rng, centers, n_per=30)
             bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
             before, _ = provider.loss_and_gradient(bare, scene.boxes)
-            out = adversarial_perturb(bare, scene.boxes, provider, cfg, rng)
+            out, _ = adversarial_perturb_detailed(bare, scene.boxes, provider, cfg, rng)
             after, _ = provider.loss_and_gradient(out, scene.boxes)
             if after <= before:
                 decreased += 1
@@ -164,7 +212,33 @@ class TestAdversarialPerturb:
     def test_requires_unlabeled_tag(self, rng):
         scene = cluster_scene(rng, [(10, 0, 0)], domain_tag=DomainTag.SOURCE)
         with pytest.raises(ValueError):
-            adversarial_perturb(scene, scene.boxes, SurrogateProvider(), PerturbationConfig(), rng)
+            adversarial_perturb_detailed(
+                scene, scene.boxes, SurrogateProvider(), PerturbationConfig(), rng
+            )
+
+    def test_matches_per_point_reference(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            centers = [(rng.uniform(5, 15), rng.uniform(-5, 5), 0.0) for _ in range(3)]
+            scene = cluster_scene(rng, centers, n_per=int(rng.integers(5, 40)))
+            outside = np.column_stack([rng.uniform(30, 40, (10, 3)), rng.uniform(0, 1, 10)])
+            bare = Scene(np.vstack([scene.points, outside]), [], DomainTag.TARGET_UNLABELED)
+            # in-box rows (among others) with a zero gradient
+            provider = ZeroingProvider(rng.random(bare.n_points) < 0.3)
+            cfg = PerturbationConfig(
+                epsilon=float(rng.uniform(1e-4, 0.5)),
+                rho=float(rng.uniform(0.2, 1.0)),
+                mode_weights=tuple(rng.dirichlet(np.ones(3))),
+            )
+            out, outcome = adversarial_perturb_detailed(
+                bare, scene.boxes, provider, cfg, np.random.default_rng(seed + 1000)
+            )
+            ref_points, ref_outcome = reference_perturb(
+                bare, scene.boxes, provider, cfg, np.random.default_rng(seed + 1000)
+            )
+            assert np.array_equal(out.points, ref_points)
+            assert outcome == ref_outcome
+            assert out.boxes == scene.boxes
 
     def test_no_boxes_is_noop(self, rng):
         scene = cluster_scene(rng, [(10, 0, 0)])
@@ -253,23 +327,68 @@ class TestConsistencyLoss:
         assert lab == pytest.approx(consistency_loss(b, a), abs=1e-12)
 
 
+class ScriptedStudent:
+    """Detector stub for run_advmix_stage. The stage predicts the AM
+    branch, then the PM branch, once per sample; the stub answers those
+    calls with the scripted (AM boxes, PM boxes) pairs in turn. Its
+    detection loss is 0 with a zero gradient."""
+
+    def __init__(self, samples):
+        self.answers = iter([boxes for pair in samples for boxes in pair])
+
+    def predict(self, scene):
+        return list(next(self.answers))
+
+    def loss_and_gradient(self, scene, boxes):
+        return 0.0, GradientField(np.zeros((scene.n_points, 3)))
+
+
+def _advmix_epoch(rng, samples):
+    """The stage-2 epoch over len(samples) slots (one labeled scene plus
+    box-free pseudo-labeled scenes), with the student scripted by samples."""
+    labeled = [cluster_scene(rng, [(8, 0, 0)], domain_tag=DomainTag.TARGET_LABELED)]
+    pseudo = [
+        Scene(cluster_scene(rng, [(0, 9, 0)]).points, [], DomainTag.TARGET_UNLABELED, True)
+        for _ in range(len(samples) - 1)
+    ]
+    student = ScriptedStudent(samples)
+    (epoch,) = run_advmix_stage(PipelineConfig(), labeled, pseudo, student, student).epochs
+    assert next(student.answers, None) is None, "script and stage disagree on sample count"
+    return epoch
+
+
 class TestBatchConsistency:
+    """Stage 2 averages the consistency loss over the samples where it is
+    defined; one-sided-empty samples are counted as skipped and left out
+    of numerator and denominator."""
+
     def test_all_identical_zero(self, rng):
         boxes = [random_box(rng) for _ in range(3)]
-        assert batch_consistency([(boxes, list(boxes))] * 4) == 0.0
+        epoch = _advmix_epoch(rng, [(boxes, list(boxes))] * 4)
+        assert epoch.mean_consistency_loss == 0.0
+        assert (epoch.consistency_samples, epoch.consistency_skipped) == (4, 0)
 
-    def test_skipped_sample_excluded(self):
+    def test_skipped_sample_excluded(self, rng):
         defined = ([_unit_box(0.0)], [_unit_box(1.0)])  # loss 1
-        skipped = ([_unit_box(0.0)], [])
-        assert batch_consistency([defined, skipped]) == pytest.approx(1.0)
+        am_empty = ([], [_unit_box(0.0)])
+        pm_empty = ([_unit_box(0.0)], [])
+        epoch = _advmix_epoch(rng, [am_empty, defined, pm_empty])
+        assert epoch.mean_consistency_loss == pytest.approx(1.0)
+        assert (epoch.consistency_samples, epoch.consistency_skipped) == (1, 2)
+        assert epoch.scenes_processed == 3
 
-    def test_mean_of_values(self):
+    def test_mean_of_values(self, rng):
         half = ([_unit_box(0.0)], [_unit_box(0.5)])
         one_and_half = ([_unit_box(0.0)], [_unit_box(1.5)])
-        assert batch_consistency([half, one_and_half]) == pytest.approx(1.0)
+        epoch = _advmix_epoch(rng, [half, one_and_half])
+        assert epoch.mean_consistency_loss == pytest.approx(1.0)
+        assert epoch.mean_total_loss == pytest.approx(1.0)  # lambda 1, detection 0
 
-    def test_empty_input(self):
-        assert batch_consistency([]) == 0.0
+    def test_empty_input(self, rng):
+        # no sample defines the loss: its mean is 0 over 0 samples
+        epoch = _advmix_epoch(rng, [([_unit_box(0.0)], [])] * 3)
+        assert epoch.mean_consistency_loss == 0.0
+        assert (epoch.consistency_samples, epoch.consistency_skipped) == (0, 3)
 
 
 class TestAdvmixSample:

@@ -61,6 +61,17 @@ class TestMatch:
         assert run("match", str(cloud), "--config", str(cfg), "--out", str(out)) == 0
         assert read_cloud(out).n_points <= read_cloud(cloud).n_points
 
+    def test_random_stride_varies_with_seed(self, manifest, tmp_path):
+        cloud = next((manifest / "source").glob("*.bin"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("random_stride = true\n")
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            out = tmp_path / f"matched{seed}.bin"
+            assert run("match", str(cloud), "--config", str(cfg), "--seed", seed, "--out", str(out)) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) > 1
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("match", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o.bin")) == 2
 

@@ -11,50 +11,45 @@ from lidarmix.geometry import (
     Box3D,
     DomainTag,
     NonPositiveScale,
-    Point,
     Scene,
-    SphericalCoord,
-    ZeroVector,
     apply_rigid_transform,
-    cart_to_spherical,
     normalize_yaw,
     points_in_box,
     spherical_from_xyz,
-    spherical_to_cart,
     wrap_azimuth,
     xyz_from_spherical,
 )
 
 
+def _aer(x, y, z):
+    """(azimuth, elevation, range) of one point, through the vectorized path."""
+    return spherical_from_xyz(np.array([[x, y, z]], dtype=np.float64))[0]
+
+
 class TestSphericalConversion:
     def test_x_axis(self):
-        s = cart_to_spherical(Point(1, 0, 0))
-        assert s == SphericalCoord(0.0, 0.0, 1.0)
+        assert np.array_equal(_aer(1, 0, 0), [0.0, 0.0, 1.0])
 
     def test_pole_convention(self):
         # +z axis points are valid: azimuth 0 by convention, not an error.
-        s = cart_to_spherical(Point(0, 0, 1))
-        assert s.azimuth == 0.0
-        assert s.elevation == pytest.approx(math.pi / 2)
-        assert s.range == 1.0
+        assert np.array_equal(_aer(0, 0, 1), [0.0, math.pi / 2, 1.0])
 
-    def test_origin_rejected(self):
-        with pytest.raises(ZeroVector):
-            cart_to_spherical(Point(0, 0, 0))
+    def test_origin_row_maps_to_zero(self):
+        # azimuth is undefined at the origin; the row comes out as zeros
+        rows = spherical_from_xyz(np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+        assert np.array_equal(rows, [[0.0, 0.0, 0.0], [math.pi / 2, 0.0, 2.0]])
 
     def test_diagonal(self):
         # hand evaluation: atan2(1, 1) = pi/4, atan2(sqrt2, sqrt2) = pi/4,
         # range = sqrt(1 + 1 + 2) = 2
-        s = cart_to_spherical(Point(1, 1, math.sqrt(2)))
-        assert s.azimuth == pytest.approx(math.pi / 4, abs=1e-12)
-        assert s.elevation == pytest.approx(math.pi / 4, abs=1e-12)
-        assert s.range == pytest.approx(2.0, abs=1e-12)
+        assert np.array_equal(_aer(1, 1, math.sqrt(2)), [math.pi / 4, math.pi / 4, 2.0])
 
     def test_inverse_axis_cases(self):
-        p = spherical_to_cart(SphericalCoord(0.0, 0.0, 1.0))
-        assert (p.x, p.y, p.z) == pytest.approx((1, 0, 0), abs=1e-12)
-        p = spherical_to_cart(SphericalCoord(math.pi, 0.0, 2.0))
-        assert (p.x, p.y, p.z) == pytest.approx((-2, 0, 0), abs=1e-12)
+        xyz = xyz_from_spherical(np.array([[0.0, 0.0, 1.0], [math.pi, 0.0, 2.0]]))
+        assert xyz[0].tolist() == [1.0, 0.0, 0.0]
+        # cos(pi) rounds to -1 exactly; sin(pi) leaves a residue near 1e-16
+        assert (xyz[1, 0], xyz[1, 2]) == (-2.0, 0.0)
+        assert abs(xyz[1, 1]) < 1e-15
 
     def test_round_trip_1000_points(self, rng):
         # ranges up to just under 300 m
@@ -63,15 +58,14 @@ class TestSphericalConversion:
         assert np.abs(back - xyz).max() < 1e-9
 
     def test_round_trip_scalar_matches_vector(self, rng):
-        for _ in range(20):
-            p = Point(*rng.uniform(-50, 50, 3), 0.5)
-            s = cart_to_spherical(p)
-            row = spherical_from_xyz(np.array([[p.x, p.y, p.z]]))[0]
-            assert s.azimuth == pytest.approx(row[0], abs=1e-12)
-            assert s.elevation == pytest.approx(row[1], abs=1e-12)
-            assert s.range == pytest.approx(row[2], abs=1e-12)
-            q = spherical_to_cart(s, p.intensity)
-            assert (q.x, q.y, q.z) == pytest.approx((p.x, p.y, p.z), abs=1e-9)
+        # a single row converts exactly as it does inside a batch
+        xyz = rng.uniform(-50, 50, size=(20, 3))
+        aer = spherical_from_xyz(xyz)
+        for i in range(len(xyz)):
+            assert np.array_equal(spherical_from_xyz(xyz[i : i + 1])[0], aer[i])
+            back = xyz_from_spherical(aer[i : i + 1])[0]
+            assert np.array_equal(back, xyz_from_spherical(aer)[i])
+            assert back == pytest.approx(xyz[i], abs=1e-9)
 
     @given(st.floats(-1e6, 1e6))
     def test_wrap_azimuth_range(self, angle):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_box, random_scene
+from lidarmix.adversarial import PerturbationConfig
 from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.io import (
     ConfigError,
@@ -11,10 +14,12 @@ from lidarmix.io import (
     NonFiniteValue,
     TruncatedFile,
     format_config,
+    load_config,
     load_manifest,
     parse_config,
     read_cloud,
     read_labels,
+    save_config,
     save_manifest,
     write_cloud,
     write_labels,
@@ -134,6 +139,37 @@ class TestConfig:
     def test_custom_round_trip(self):
         cfg = PipelineConfig(p_tm=0.25, seed=99, epochs_tm=3, random_stride=True)
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_float_precision_survives_save_and_load(self, tmp_path):
+        cfg = PipelineConfig(p_tm=0.1234567891234)
+        save_config(cfg, tmp_path / "config.txt")
+        assert load_config(tmp_path / "config.txt").p_tm == 0.1234567891234
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1e6),
+        st.floats(1e-12, 10.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(1e-12, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_keys_round_trip_exactly(self, p_tm, p_am, lam, epsilon, rho, threshold, knee):
+        cfg = PipelineConfig(
+            p_tm=p_tm,
+            p_am=p_am,
+            lam=lam,
+            perturbation=PerturbationConfig(epsilon=epsilon, rho=rho),
+            pseudo_score_threshold=threshold,
+            smooth_l1_knee=knee,
+        )
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_degree_keys_written_to_nine_digits(self):
+        cfg = parse_config("sector_min_width_deg = 12.3456789012\n")
+        text = format_config(cfg)
+        assert "sector_min_width_deg = 12.3456789\n" in text
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -169,11 +169,12 @@ class TestAdvmixStage:
         with pytest.raises(EmptyDataset):
             run_advmix_stage(small_cfg(), [], [], GridClusterOracle(), GridClusterOracle())
 
-    def test_zero_unlabeled_reports_zero_samples(self, bundle):
-        report = run_advmix_stage(
-            small_cfg(), bundle.target_labeled, [], GridClusterOracle(), GridClusterOracle()
-        )
-        assert all(e.scenes_processed == 0 for e in report.epochs)
+    def test_zero_unlabeled_raises(self, bundle):
+        # an epoch over no samples would report all-zero losses
+        with pytest.raises(EmptyDataset):
+            run_advmix_stage(
+                small_cfg(), bundle.target_labeled, [], GridClusterOracle(), GridClusterOracle()
+            )
 
     def test_augmentation_gated_to_labeled_scenes(self, rng):
         labeled, pseudo = self.make_sets(rng)
@@ -227,10 +228,10 @@ class TestRunFull:
         assert r2.pseudo_boxes_kept >= 0
         assert r2.pseudo_boxes_discarded >= 0
 
-    def test_zero_unlabeled_no_error(self, bundle):
+    def test_zero_unlabeled_raises(self, bundle):
         empty = DatasetBundle(bundle.source, bundle.target_labeled, [])
-        _, r2 = run_full(small_cfg(), empty)
-        assert all(e.scenes_processed == 0 for e in r2.epochs)
+        with pytest.raises(EmptyDataset):
+            run_full(small_cfg(), empty)
 
     def test_deterministic_end_to_end(self, bundle):
         a = run_full(small_cfg(), bundle)

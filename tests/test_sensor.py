@@ -300,3 +300,8 @@ class TestDistributionMatch:
             scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(3), random_stride=True
         )
         assert np.array_equal(out1.points, out2.points)
+
+    def test_random_stride_requires_rng(self, rng):
+        scene = scene_from_spherical([[0.5, 0.0, 10.0]])
+        with pytest.raises(ValueError, match="random_stride"):
+            lidar_distribution_match(scene, WAYMO_64, NUSCENES_32, random_stride=True)
