@@ -24,6 +24,7 @@ from .geometry import (
     NonPositiveScale,
     Scene,
     apply_rigid_transform,
+    assign_points,
     normalize_yaw,
     points_in_box,
     spherical_from_xyz,
@@ -48,6 +49,7 @@ from .sector_mix import (
     SectorPackingFailed,
     SectorParams,
     box_crosses_boundary,
+    boxes_cross_boundary,
     enhanced_filter,
     polar_mix,
     sample_sectors,

@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene, points_in_box
+from .geometry import Box3D, DomainTag, Scene, assign_points
 
 
 class EmptyBoxList(ValueError):
@@ -95,7 +95,8 @@ def surrogate_loss(
     its distance to the box center is penalized with smooth-L1; the loss is
     the mean over boxes (empty boxes contribute 0). The returned field is
     the exact gradient with respect to each point's world coordinates,
-    zero for points outside every box.
+    zero for points outside every box. The in-box points of all boxes come
+    from one `assign_points` pass.
     """
     boxes = list(boxes)
     if not boxes:
@@ -104,10 +105,11 @@ def surrogate_loss(
         raise ValueError(f"knee must be > 0, got {knee}")
     grads = np.zeros((scene.n_points, 3))
     total = 0.0
-    for box in boxes:
-        idx = points_in_box(scene, box)
-        if idx.size == 0:
+    indptr, indices = assign_points(scene.xyz, boxes)
+    for box, start, stop in zip(boxes, indptr[:-1].tolist(), indptr[1:].tolist()):
+        if stop == start:
             continue
+        idx = indices[start:stop]
         rot = box.rotation()
         local = (scene.xyz[idx] - box.center()) @ rot
         centroid = local.mean(axis=0)
@@ -174,7 +176,7 @@ def adversarial_perturb_detailed(
     _, field = provider.loss_and_gradient(scene, boxes)
     delta = perturbation_delta(field, cfg.epsilon)
 
-    candidates = np.unique(np.concatenate([points_in_box(scene, b) for b in boxes]))
+    candidates = np.unique(assign_points(scene.xyz, boxes)[1])
     outcome.candidates = int(candidates.size)
     selected = candidates[rng.random(candidates.size) < cfg.rho]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)

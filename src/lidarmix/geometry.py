@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +33,12 @@ def wrap_azimuth(angle):
     """Wrap angle(s) into [0, 2pi).
 
     np.mod can round tiny negative inputs up to exactly 2pi, so that edge
-    is folded back to 0.
+    is folded back to 0. A Python float takes the float `%`, which is the
+    same floored remainder as np.mod, bit for bit.
     """
+    if type(angle) is float:
+        a = angle % TWO_PI
+        return 0.0 if a >= TWO_PI else a
     a = np.mod(angle, TWO_PI)
     a = np.where(a >= TWO_PI, 0.0, a)
     if np.ndim(angle) == 0:
@@ -77,6 +82,11 @@ def xyz_from_spherical(aer: np.ndarray) -> np.ndarray:
     )
 
 
+def _rotation_rows(yaw: float) -> tuple:
+    c, s = math.cos(yaw), math.sin(yaw)
+    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center (cx, cy, cz), sizes (w, l, h) with l along
@@ -111,8 +121,7 @@ class Box3D:
 
     def rotation(self) -> np.ndarray:
         """Box-to-world rotation; columns are the box axes in world frame."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return np.array(_rotation_rows(self.yaw))
 
     def half_sizes(self) -> np.ndarray:
         """Half extents along the box axes (x' = l, y' = w, z' = h)."""
@@ -120,16 +129,7 @@ class Box3D:
 
     def corners(self) -> np.ndarray:
         """The 8 corners in world frame, shape (8, 3)."""
-        half = self.half_sizes()
-        signs = np.array(
-            [
-                [sx, sy, sz]
-                for sx in (-1.0, 1.0)
-                for sy in (-1.0, 1.0)
-                for sz in (-1.0, 1.0)
-            ]
-        )
-        return self.center() + (signs * half) @ self.rotation().T
+        return box_corners(*box_frames([self]))[0]
 
 
 @dataclass
@@ -171,13 +171,77 @@ class Scene:
         return cls(np.empty((0, 4)), [], domain_tag)
 
 
+# Boxes x points cells per prefilter chunk of assign_points; this bounds
+# its float64 temporaries to 512 KiB each.
+_PREFILTER_CELLS = 1 << 16
+
+
+def box_frames(boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked `center()` (B, 3), `rotation()` (B, 3, 3) and `half_sizes()`
+    (B, 3) of each box."""
+    rows = np.array([(b.cx, b.cy, b.cz, b.l / 2.0, b.w / 2.0, b.h / 2.0) for b in boxes])
+    rotations = np.array([_rotation_rows(b.yaw) for b in boxes])
+    return rows[:, :3], rotations, rows[:, 3:]
+
+
+# Corner offsets of a box in units of its half sizes, x' outermost.
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+)
+
+
+def box_corners(centers: np.ndarray, rotations: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The 8 world-frame corners (B, 8, 3) of the boxes whose `box_frames`
+    are given."""
+    return centers[:, None, :] + (_CORNER_SIGNS * half[:, None, :]) @ rotations.transpose(0, 2, 1)
+
+
+def assign_points(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
+    """Members of every box in one pass, boundary inclusive, in CSR form:
+    `indices[indptr[b]:indptr[b + 1]]` are the ascending rows of the (N, 3)
+    array `xyz` inside `boxes[b]`. A point inside several boxes is listed
+    under each of them.
+
+    Each box's bounding circle in the xy-plane, padded well past rounding,
+    picks the candidate rows. The exact test is `(xyz[cand] - center) @
+    rotation` with `abs(local) <= half_sizes`, one product per box, whose
+    rows equal those of the full-cloud product bit for bit.
+    """
+    n, n_boxes = xyz.shape[0], len(boxes)
+    if n == 0 or n_boxes == 0:
+        return np.zeros(n_boxes + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+    circles = []
+    for b in boxes:
+        r = 0.5 * math.hypot(b.l, b.w)
+        r += 1e-6 * (1.0 + abs(b.cx) + abs(b.cy) + r)
+        circles.append((b.cx, b.cy, r * r))
+    cx, cy, r2 = np.array(circles).T[:, :, None]
+    x, y = xyz[:, 0], xyz[:, 1]
+    step = max(1, _PREFILTER_CELLS // n)
+    owner, rows = [], []
+    for s in range(0, n_boxes, step):
+        box = slice(s, s + step)
+        near = (x - cx[box]) ** 2 + (y - cy[box]) ** 2 <= r2[box]
+        b, r = np.divmod(np.flatnonzero(near), n)
+        owner.append(b + s)
+        rows.append(r)
+    # Candidates are grouped by box, rows ascending within each group.
+    owner, rows = np.concatenate(owner), np.concatenate(rows)
+    centers, rotations, half = box_frames(boxes)
+    offset = xyz[rows] - centers[owner]
+    local = np.empty_like(offset)
+    bounds = np.searchsorted(owner, np.arange(n_boxes + 1)).tolist()
+    for b, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(offset[start:stop], rotations[b], out=local[start:stop])
+    ok = np.abs(local) <= half[owner]
+    inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
+    return np.searchsorted(owner[inside], np.arange(n_boxes + 1)), rows[inside]
+
+
 def points_in_box(scene: Scene, box: Box3D) -> np.ndarray:
-    """Indices of scene points inside the box, boundary inclusive."""
-    if scene.n_points == 0:
-        return np.empty(0, dtype=np.intp)
-    local = (scene.xyz - box.center()) @ box.rotation()
-    inside = np.all(np.abs(local) <= box.half_sizes(), axis=1)
-    return np.nonzero(inside)[0]
+    """Indices of scene points inside the box, boundary inclusive: the
+    one-box call of `assign_points`."""
+    return assign_points(scene.xyz, [box])[1]
 
 
 def _transform_box(box: Box3D, flip_x: bool, flip_y: bool, rot_z: float, scale: float) -> Box3D:

@@ -259,12 +259,19 @@ def load_manifest(root: str | Path) -> tuple[DatasetBundle, PipelineConfig]:
 
 
 def save_manifest(bundle: DatasetBundle, cfg: PipelineConfig, root: str | Path) -> None:
+    """Write a manifest directory that load_manifest reads back. Raises
+    FileExistsError, before writing anything, when a role directory already
+    holds clouds: load_manifest would mix them into the new bundle."""
     root = Path(root)
-    for role, scenes, with_labels in (
+    roles = (
         ("source", bundle.source, True),
         ("target_labeled", bundle.target_labeled, True),
         ("target_unlabeled", bundle.target_unlabeled, False),
-    ):
+    )
+    for role, _, _ in roles:
+        if any((root / role).glob("*.bin")):
+            raise FileExistsError(f"{root / role} already holds *.bin clouds")
+    for role, scenes, with_labels in roles:
         directory = root / role
         directory.mkdir(parents=True, exist_ok=True)
         for i, scene in enumerate(scenes):

@@ -311,7 +311,11 @@ def run_full(
     cfg: PipelineConfig, datasets: DatasetBundle, oracle: DetectorOracle | None = None
 ) -> tuple[StageReport, StageReport]:
     """Stage 1, pseudo-labeling, then stage 2, with the stage-1 oracle
-    serving as the frozen teacher and the student cloned from it."""
+    serving as the frozen teacher and the student cloned from it. An empty
+    role raises EmptyDataset before any stage runs."""
+    empty = [role for role, scenes in vars(datasets).items() if not scenes]
+    if empty:
+        raise EmptyDataset(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
     teacher = oracle if oracle is not None else GridClusterOracle(smooth_l1_knee=cfg.smooth_l1_knee)
     report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, teacher)
     stats = PseudoLabelStats()

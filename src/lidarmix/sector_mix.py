@@ -11,10 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI, Box3D, DomainTag, Scene, points_in_box, wrap_azimuth
+from .geometry import (
+    TWO_PI,
+    Box3D,
+    DomainTag,
+    Scene,
+    assign_points,
+    box_corners,
+    box_frames,
+    wrap_azimuth,
+)
 
 
 class SectorPackingFailed(RuntimeError):
@@ -23,6 +33,10 @@ class SectorPackingFailed(RuntimeError):
 
 class DegenerateAzimuth(ValueError):
     """Box center too close to the z-axis for a meaningful azimuth."""
+
+
+# Box centers closer than this to the z-axis have no meaningful azimuth.
+_Z_AXIS_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,61 +133,59 @@ def sample_sectors(
     )
 
 
-def _footprint_contains_origin(box: Box3D) -> bool:
-    local = (-box.center()) @ box.rotation()
-    return abs(local[0]) <= box.l / 2.0 and abs(local[1]) <= box.w / 2.0
-
-
-def _min_covering_arc(angles: np.ndarray) -> tuple[float, float]:
-    """Shortest arc (start, width) covering all given angles."""
-    a = np.sort(np.asarray(angles, dtype=np.float64))
-    gaps = np.diff(a, append=a[0] + TWO_PI)
-    i = int(np.argmax(gaps))
-    start = a[(i + 1) % a.size]
-    return float(start), float(TWO_PI - gaps[i])
+def boxes_cross_boundary(boxes: Sequence[Box3D], mask: SectorMask) -> np.ndarray:
+    """For each box, whether a sector edge falls inside the shortest
+    azimuth arc covering its corners, as one test over all boxes. Boxes
+    whose footprint reaches over the sensor origin span every azimuth and
+    always cross; boxes centred on the z-axis have no meaningful azimuth
+    and count as crossing too."""
+    if not boxes:
+        return np.zeros(0, dtype=bool)
+    centers, rotations, half = box_frames(boxes)
+    degenerate = np.array([math.hypot(b.cx, b.cy) < _Z_AXIS_TOLERANCE for b in boxes])
+    origin = ((-centers)[:, None, :] @ rotations)[:, 0, :2]
+    over_origin = np.all(np.abs(origin) <= half[:, :2], axis=1)
+    corners = box_corners(centers, rotations, half)
+    az = np.sort(wrap_azimuth(np.arctan2(corners[..., 1], corners[..., 0])), axis=1)
+    # Shortest covering arc: it starts after the widest gap between corners.
+    gaps = np.diff(az, axis=1, append=az[:, :1] + TWO_PI)
+    widest = np.argmax(gaps, axis=1)
+    rows = np.arange(len(boxes))
+    arc_start = az[rows, (widest + 1) % az.shape[1]]
+    arc_width = TWO_PI - gaps[rows, widest]
+    edges = mask.boundary_angles()
+    cut = np.any(np.mod(edges - arc_start[:, None], TWO_PI) <= arc_width[:, None], axis=1)
+    return degenerate | over_origin | cut
 
 
 def box_crosses_boundary(box: Box3D, mask: SectorMask) -> bool:
-    """Whether any sector edge falls inside the azimuth arc spanned by the
-    box's corners. Boxes whose footprint reaches over the sensor origin
-    span every azimuth and always cross."""
-    if math.hypot(box.cx, box.cy) < 1e-6:
+    """Whether a sector edge cuts the box: the one-box call of
+    `boxes_cross_boundary`. Raises DegenerateAzimuth for a box centred on
+    the z-axis, which the batched test counts as cut."""
+    if math.hypot(box.cx, box.cy) < _Z_AXIS_TOLERANCE:
         raise DegenerateAzimuth(f"box center ({box.cx}, {box.cy}) sits on the z-axis")
-    if _footprint_contains_origin(box):
-        return True
-    corners = box.corners()
-    az = wrap_azimuth(np.arctan2(corners[:, 1], corners[:, 0]))
-    arc_start, arc_width = _min_covering_arc(az)
-    edges = mask.boundary_angles()
-    return bool(np.any(np.mod(edges - arc_start, TWO_PI) <= arc_width))
+    return bool(boxes_cross_boundary([box], mask)[0])
 
 
 def enhanced_filter(scene: Scene, mask: SectorMask, keep_inside: bool) -> Scene:
     """Crop a scene to one side of the mask, first removing every
     boundary-crossing box together with all points inside it. Surviving
     boxes are kept when their center azimuth is on the kept side.
+
+    One `boxes_cross_boundary` test covers all of the scene's boxes, and
+    one `assign_points` pass finds the points of the crossing ones.
     """
-    crossing, safe = [], []
-    for box in scene.boxes:
-        try:
-            cut = box_crosses_boundary(box, mask)
-        except DegenerateAzimuth:
-            cut = True  # footprint hugs the z-axis; treat as cut
-        (crossing if cut else safe).append(box)
-
-    remove = np.zeros(scene.n_points, dtype=bool)
-    for box in crossing:
-        remove[points_in_box(scene, box)] = True
-
+    boxes = scene.boxes
+    cut = boxes_cross_boundary(boxes, mask).tolist()
     az = wrap_azimuth(np.arctan2(scene.points[:, 1], scene.points[:, 0]))
-    inside = mask.contains(az)
-    keep = ~remove & (inside == keep_inside)
+    keep = mask.contains(az) == keep_inside
+    crossing = [b for b, c in zip(boxes, cut) if c]
+    if crossing:
+        keep[assign_points(scene.xyz, crossing)[1]] = False
 
-    kept_boxes = [
-        b
-        for b in safe
-        if mask.contains(wrap_azimuth(math.atan2(b.cy, b.cx))) == keep_inside
-    ]
+    center_az = wrap_azimuth(np.array([math.atan2(b.cy, b.cx) for b in boxes]))
+    side = (mask.contains(center_az) == keep_inside).tolist()
+    kept_boxes = [b for b, c, s in zip(boxes, cut, side) if s and not c]
     return Scene(scene.points[keep], kept_boxes, scene.domain_tag, scene.pseudo_labeled)
 
 

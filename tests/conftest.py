@@ -6,6 +6,16 @@ import pytest
 from lidarmix.geometry import Box3D, DomainTag, Scene
 
 
+def reference_points_in_box(xyz, box):
+    """The per-box full-cloud scan that assign_points replaced: reference
+    for the shared point-to-box kernel."""
+    if xyz.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    local = (xyz - box.center()) @ box.rotation()
+    inside = np.all(np.abs(local) <= box.half_sizes(), axis=1)
+    return np.nonzero(inside)[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cluster_scene, random_box
+from conftest import cluster_scene, random_box, reference_points_in_box
 from lidarmix.adversarial import (
     EmptyBoxList,
     GradientField,
@@ -79,6 +79,37 @@ class TestSurrogateLoss:
             scene, boxes = make_gradcheck_fixture(rng)
             assert gradient_relative_error(scene, boxes) < 1e-5
 
+    def test_matches_per_box_reference(self):
+        # the loss loop as it was before the shared assignment, bit for bit
+        def reference(scene, boxes, knee=1.0):
+            grads = np.zeros((scene.n_points, 3))
+            total = 0.0
+            for box in boxes:
+                idx = reference_points_in_box(scene.xyz, box)
+                if idx.size == 0:
+                    continue
+                rot = box.rotation()
+                local = (scene.xyz[idx] - box.center()) @ rot
+                centroid = local.mean(axis=0)
+                r = float(np.linalg.norm(centroid))
+                total += 0.5 * r * r / knee if r < knee else r - 0.5 * knee
+                if r > 0.0:
+                    slope = r / knee if r < knee else 1.0
+                    grads[idx] += ((slope / r) * centroid / idx.size) @ rot.T
+            return total / len(boxes), grads / len(boxes)
+
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            centers = [(rng.uniform(5, 9), rng.uniform(-2, 2), 0.0) for _ in range(4)]
+            scene = cluster_scene(rng, centers, n_per=int(rng.integers(1, 40)))
+            # overlapping, rotated and empty boxes beside the cluster boxes
+            boxes = scene.boxes + [random_box(rng, dist_range=(4.0, 10.0)) for _ in range(3)]
+            knee = float(rng.uniform(0.1, 2.0))
+            loss, field = surrogate_loss(scene, boxes, knee)
+            ref_loss, ref_grads = reference(scene, boxes, knee)
+            assert loss == ref_loss
+            assert np.array_equal(field.grads, ref_grads)
+
     def test_above_knee_branch(self):
         # single point 3 m off-center: loss = 3 - 0.5, slope 1
         box = Box3D(0.0, 10.0, 0.0, w=8, l=8, h=8, yaw=0.0)
@@ -134,7 +165,7 @@ def reference_perturb(scene, boxes, provider, cfg, rng):
     skip points with a zero gradient."""
     _, field = provider.loss_and_gradient(scene, boxes)
     delta = perturbation_delta(field, cfg.epsilon)
-    candidates = np.unique(np.concatenate([points_in_box(scene, b) for b in boxes]))
+    candidates = np.unique(np.concatenate([reference_points_in_box(scene.xyz, b) for b in boxes]))
     outcome = PerturbOutcome(candidates=int(candidates.size))
     selected = candidates[rng.random(candidates.size) < cfg.rho]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)

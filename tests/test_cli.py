@@ -48,6 +48,25 @@ class TestSynth:
         assert tree_bytes(a) == tree_bytes(b)
 
 
+    def test_refuses_to_mix_into_an_existing_manifest(self, tmp_path):
+        out = tmp_path / "m"
+        assert run("synth", "--out", str(out), "--sources", "6", "--labeled", "3",
+                   "--unlabeled", "4") == 0
+        before = tree_bytes(out)
+        # a second, smaller manifest would load with the first one's leftovers
+        assert run("synth", "--out", str(out), "--sources", "2", "--labeled", "1",
+                   "--unlabeled", "1", "--seed", "5") == 2
+        assert tree_bytes(out) == before
+
+    def test_writes_into_a_directory_without_clouds(self, tmp_path):
+        (tmp_path / "target_unlabeled").mkdir()
+        (tmp_path / "notes.txt").write_text("kept\n")
+        assert run("synth", "--out", str(tmp_path), "--sources", "2", "--labeled", "1",
+                   "--unlabeled", "1") == 0
+        assert (tmp_path / "notes.txt").read_text() == "kept\n"
+        assert len(list((tmp_path / "target_unlabeled").glob("*.bin"))) == 1
+
+
 class TestMatch:
     def test_identical_specs_collision_only(self, manifest, tmp_path):
         cloud = next((manifest / "source").glob("*.bin"))

@@ -3,16 +3,19 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_box, random_scene
+from conftest import random_box, random_scene, reference_points_in_box
+from lidarmix import geometry
 from lidarmix.geometry import (
+    TWO_PI,
     Box3D,
     DomainTag,
     NonPositiveScale,
     Scene,
     apply_rigid_transform,
+    assign_points,
     normalize_yaw,
     points_in_box,
     spherical_from_xyz,
@@ -71,6 +74,36 @@ class TestSphericalConversion:
     def test_wrap_azimuth_range(self, angle):
         a = wrap_azimuth(angle)
         assert 0.0 <= a < 2 * math.pi
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-6, 6).map(lambda k: k * TWO_PI)
+        | st.sampled_from(
+            [
+                -0.0,
+                math.nextafter(TWO_PI, 0.0),
+                math.nextafter(TWO_PI, 7.0),
+                math.nextafter(-TWO_PI, 0.0),
+                -5e-324,
+                -1e-300,
+                -1e-17,
+                -2.0**-60,
+                math.nextafter(-0.0, -1.0),
+            ]
+        )
+    )
+    def test_wrap_azimuth_float_path_matches_array_path(self, angle):
+        fast = wrap_azimuth(angle)
+        for via_array in (wrap_azimuth(np.float64(angle)), float(wrap_azimuth(np.array([angle]))[0])):
+            assert type(fast) is float
+            assert struct.pack("<d", fast) == struct.pack("<d", via_array)
+
+    def test_wrap_azimuth_folds_rounding_up_to_two_pi(self):
+        # each of these rounds to exactly 2pi under the floored remainder
+        for angle in (-1e-17, -5e-324, -2.0**-60):
+            assert angle % TWO_PI == TWO_PI
+            assert wrap_azimuth(angle) == 0.0
+        assert struct.pack("<d", wrap_azimuth(-0.0)) == struct.pack("<d", 0.0)
 
 
 class TestYawNormalization:
@@ -178,6 +211,112 @@ class TestPointsInBox:
                     agree += 1
         assert total == 10_000
         assert agree == total
+
+
+# Yaws at and next to the ends of [-pi, pi), where the rotation's sine
+# is a rounding residue.
+_EDGE_YAWS = [
+    -math.pi,
+    math.nextafter(-math.pi, 0.0),
+    math.nextafter(math.pi, 0.0),
+    0.0,
+    math.pi / 2,
+    -math.pi / 2,
+    math.pi / 4,
+]
+
+
+@st.composite
+def _boxes(draw):
+    """Boxes near the sensor, far out, overlapping and duplicated."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        far = draw(st.booleans()) and draw(st.booleans())
+        span = 1e5 if far else 40.0
+        box = Box3D(
+            draw(st.floats(-span, span)),
+            draw(st.floats(-span, span)),
+            draw(st.floats(-3.0, 3.0)),
+            w=draw(st.floats(0.05, 8.0)),
+            l=draw(st.floats(0.05, 8.0)),
+            h=draw(st.floats(0.05, 4.0)),
+            yaw=draw(st.sampled_from(_EDGE_YAWS) | st.floats(-math.pi, math.pi)),
+        )
+        boxes.append(box)
+        if draw(st.booleans()):
+            # an overlapping twin: the same box, or one shifted by a fraction of it
+            shift = draw(st.sampled_from([0.0, 0.3, 0.7]))
+            boxes.append(
+                Box3D(box.cx + shift * box.l, box.cy, box.cz, box.w, box.l, box.h, box.yaw)
+            )
+    return boxes
+
+
+def _surface_points(rng, box):
+    """Points placed exactly on faces, edges and corners in the box frame,
+    plus their one-ulp neighbours, mapped to the world frame."""
+    half = box.half_sizes()
+    levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    local = levels[rng.integers(0, 5, size=(60, 3))] * half
+    local[:20] = np.sign(rng.uniform(-1, 1, size=(20, 3))) * half  # corners
+    world = box.center() + local @ box.rotation().T
+    return np.vstack(
+        [world, np.nextafter(world, np.inf), np.nextafter(world, -np.inf)]
+    )
+
+
+class TestAssignPoints:
+    """assign_points against the per-box full-cloud scan it replaced."""
+
+    @staticmethod
+    def check(xyz, boxes):
+        indptr, indices = assign_points(xyz, boxes)
+        assert indptr.dtype == np.intp and indices.dtype == np.intp
+        assert indptr.shape == (len(boxes) + 1,)
+        assert indptr[0] == 0 and indptr[-1] == indices.size
+        for b, box in enumerate(boxes):
+            assert np.array_equal(indices[indptr[b] : indptr[b + 1]], reference_points_in_box(xyz, box))
+
+    def test_empty_cloud(self, rng):
+        boxes = [random_box(rng) for _ in range(3)]
+        indptr, indices = assign_points(np.empty((0, 3)), boxes)
+        assert indptr.tolist() == [0, 0, 0, 0]
+        assert indices.size == 0
+
+    def test_empty_box_list(self, rng):
+        indptr, indices = assign_points(random_scene(rng).xyz, [])
+        assert indptr.tolist() == [0]
+        assert indices.size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        boxes=_boxes(),
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.sampled_from([1, 7, 1 << 16]),
+    )
+    def test_matches_per_box_scan(self, boxes, seed, cells):
+        rng = np.random.default_rng(seed)
+        parts = [
+            rng.uniform(-45.0, 45.0, size=(int(rng.integers(0, 300)), 3)),
+            np.array([[1e6, 1e6, 0.0], [-1e12, 3.0, 0.0], [0.0, 0.0, 1e9], [5e3, -7e4, -2.0]]),
+        ]
+        for box in boxes:
+            parts.append(_surface_points(rng, box))
+            parts.append(box.center() + rng.uniform(-1.2, 1.2, size=(40, 3)) * box.half_sizes())
+        xyz = np.vstack(parts)[rng.permutation(sum(len(p) for p in parts))]
+        # cells=1 and 7 force one box per prefilter chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_PREFILTER_CELLS", cells)
+            self.check(xyz, boxes)
+            # a strided view, as Scene.xyz hands it over
+            self.check(Scene(np.column_stack([xyz, np.zeros(len(xyz))])).xyz, boxes)
+
+    def test_points_in_box_is_one_box_call(self, rng):
+        for _ in range(50):
+            box = random_box(rng)
+            scene = random_scene(rng, n=300, boxes=[box])
+            scene.points[:60, :3] = _surface_points(rng, box)[:60]
+            assert np.array_equal(points_in_box(scene, box), reference_points_in_box(scene.xyz, box))
 
 
 class TestRigidTransform:

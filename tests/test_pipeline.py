@@ -120,16 +120,19 @@ class TestGeneratePseudoLabels:
 
 
 class RecordingOracle:
-    """Stub detector: no boxes, zero gradients, records every scene it sees."""
+    """Stub detector: no boxes, zero gradients, records every scene it sees
+    and counts its gradient calls."""
 
     def __init__(self):
         self.predicted = []
+        self.gradient_calls = 0
 
     def predict(self, scene):
         self.predicted.append(scene)
         return []
 
     def loss_and_gradient(self, scene, boxes):
+        self.gradient_calls += 1
         return 0.0, GradientField(np.zeros((scene.n_points, 3)))
 
     def clone(self):
@@ -232,6 +235,15 @@ class TestRunFull:
         empty = DatasetBundle(bundle.source, bundle.target_labeled, [])
         with pytest.raises(EmptyDataset):
             run_full(small_cfg(), empty)
+
+    @pytest.mark.parametrize("role", ["source", "target_labeled", "target_unlabeled"])
+    def test_empty_role_fails_before_any_stage(self, bundle, role):
+        roles = dict(vars(bundle), **{role: []})
+        recorder = RecordingOracle()
+        with pytest.raises(EmptyDataset, match=role):
+            run_full(small_cfg(), DatasetBundle(**roles), recorder)
+        assert recorder.predicted == []
+        assert recorder.gradient_calls == 0
 
     def test_deterministic_end_to_end(self, bundle):
         a = run_full(small_cfg(), bundle)

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_box, random_scene
-from lidarmix.geometry import Box3D, DomainTag, Scene, points_in_box, wrap_azimuth
+from conftest import random_box, random_scene, reference_points_in_box
+from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, points_in_box, wrap_azimuth
 from lidarmix.sector_mix import (
     DegenerateAzimuth,
     SectorMask,
     SectorPackingFailed,
     SectorParams,
     box_crosses_boundary,
+    boxes_cross_boundary,
     enhanced_filter,
     polar_mix,
     sample_sectors,
@@ -120,6 +123,125 @@ class TestBoxCrossesBoundary:
             mid = wrap_azimuth(float(np.angle(np.exp(1j * az).mean())))
             mask = SectorMask(((mid, 0.3),))
             assert box_crosses_boundary(box, mask)
+
+
+def reference_box_crosses_boundary(box, mask):
+    """The per-box test that boxes_cross_boundary replaced."""
+    if math.hypot(box.cx, box.cy) < 1e-6:
+        raise DegenerateAzimuth(f"box center ({box.cx}, {box.cy}) sits on the z-axis")
+    local = (-box.center()) @ box.rotation()
+    if abs(local[0]) <= box.l / 2.0 and abs(local[1]) <= box.w / 2.0:
+        return True  # the footprint reaches over the origin
+    arc_start, arc_width = reference_corner_arc(box)
+    edges = mask.boundary_angles()
+    return bool(np.any(np.mod(edges - arc_start, TWO_PI) <= arc_width))
+
+
+def reference_corner_arc(box):
+    """Shortest (start, width) arc covering the azimuths of the corners,
+    each corner taken by the one-box product."""
+    signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
+    corners = box.center() + (signs * box.half_sizes()) @ box.rotation().T
+    az = np.sort(wrap_azimuth(np.arctan2(corners[:, 1], corners[:, 0])))
+    gaps = np.diff(az, append=az[0] + TWO_PI)
+    i = int(np.argmax(gaps))
+    return float(az[(i + 1) % az.size]), float(TWO_PI - gaps[i])
+
+
+def reference_enhanced_filter(scene, mask, keep_inside):
+    """enhanced_filter as it was before the batched boundary test."""
+    crossing, safe = [], []
+    for box in scene.boxes:
+        try:
+            cut = reference_box_crosses_boundary(box, mask)
+        except DegenerateAzimuth:
+            cut = True
+        (crossing if cut else safe).append(box)
+    remove = np.zeros(scene.n_points, dtype=bool)
+    for box in crossing:
+        remove[reference_points_in_box(scene.xyz, box)] = True
+    az = wrap_azimuth(np.arctan2(scene.points[:, 1], scene.points[:, 0]))
+    keep = ~remove & (mask.contains(az) == keep_inside)
+    kept = [b for b in safe if mask.contains(wrap_azimuth(math.atan2(b.cy, b.cx))) == keep_inside]
+    return Scene(scene.points[keep], kept, scene.domain_tag, scene.pseudo_labeled)
+
+
+def _edge_cases(rng, mask):
+    """Boxes centred on the z-axis (some tiny), boxes over the origin, and
+    small boxes centred exactly on a sector edge."""
+    boxes = []
+    for _ in range(3):
+        size = float(rng.choice([1e-9, 1e-3, 1.0, 3.0]))
+        cx, cy = rng.uniform(-9e-7, 9e-7, size=2) * rng.integers(0, 2)
+        boxes.append(Box3D(cx, cy, rng.uniform(-2, 2), w=size, l=size, h=1.0, yaw=rng.uniform(-3, 3)))
+    for _ in range(3):
+        boxes.append(
+            Box3D(*rng.uniform(-1.0, 1.0, size=3), w=rng.uniform(2.5, 6), l=rng.uniform(2.5, 6),
+                  h=1.0, yaw=rng.uniform(-math.pi, math.pi))
+        )
+    for edge in mask.boundary_angles():
+        dist = rng.uniform(2.0, 30.0)
+        boxes.append(
+            Box3D(dist * math.cos(edge), dist * math.sin(edge), 0.0, w=0.2, l=0.3, h=1.0,
+                  yaw=rng.uniform(-math.pi, math.pi))
+        )
+    return boxes
+
+
+class TestBatchedBoundaryTest:
+    """boxes_cross_boundary and box_crosses_boundary against the per-box
+    reference they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+    def test_matches_scalar_reference(self, seed, k):
+        rng = np.random.default_rng(seed)
+        mask = sample_sectors(rng, k, 0.2, 1.5)
+        boxes = [random_box(rng, dist_range=(0.5, 40.0)) for _ in range(8)] + _edge_cases(rng, mask)
+        expected = []
+        for box in boxes:
+            try:
+                cut = reference_box_crosses_boundary(box, mask)
+            except DegenerateAzimuth:
+                with pytest.raises(DegenerateAzimuth):
+                    box_crosses_boundary(box, mask)
+                expected.append(True)
+                continue
+            assert box_crosses_boundary(box, mask) is cut
+            expected.append(cut)
+        got = boxes_cross_boundary(boxes, mask)
+        assert got.dtype == bool
+        assert got.tolist() == expected
+
+    def test_no_boxes(self):
+        assert boxes_cross_boundary([], HALF_PLANE).shape == (0,)
+
+    def test_edge_at_the_end_of_the_arc_crosses(self, rng):
+        # the arc is closed: an edge exactly at its last corner cuts the box
+        ties = 0
+        for _ in range(100):
+            box = random_box(rng, dist_range=(4.0, 25.0))
+            start, width = reference_corner_arc(box)
+            mask = SectorMask(((wrap_azimuth(start + width), 0.2),))
+            ties += (mask.sectors[0][0] - start) % TWO_PI == width
+            assert boxes_cross_boundary([box], mask)[0] == reference_box_crosses_boundary(box, mask)
+        assert ties > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), keep_inside=st.booleans())
+    def test_enhanced_filter_matches_reference(self, seed, keep_inside):
+        rng = np.random.default_rng(seed)
+        mask = sample_sectors(rng, int(rng.integers(1, 4)), 0.2, 1.5)
+        boxes = [random_box(rng, dist_range=(0.5, 30.0)) for _ in range(5)] + _edge_cases(rng, mask)
+        scene = random_scene(rng, n=400, boxes=boxes)
+        # plant points in every box so removals show
+        planted = np.vstack([b.center() + rng.uniform(-0.5, 0.5, size=(10, 3)) * b.half_sizes()
+                             for b in boxes])
+        scene.points = np.vstack([scene.points, np.column_stack([planted, np.ones(len(planted))])])
+        got = enhanced_filter(scene, mask, keep_inside)
+        want = reference_enhanced_filter(scene, mask, keep_inside)
+        assert np.array_equal(got.points, want.points)
+        assert got.boxes == want.boxes
 
 
 class TestEnhancedFilter:
