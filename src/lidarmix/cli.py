@@ -11,7 +11,6 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def _cmd_pipeline(args) -> int:
         indent=2,
     )
     if args.out:
-        Path(args.out).write_text(summary + "\n", encoding="utf-8")
+        lio._replace_file(args.out, (summary + "\n").encode("utf-8"))
         print(f"wrote summary to {args.out}")
     else:
         print(summary)

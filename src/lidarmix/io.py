@@ -4,6 +4,9 @@ Clouds are headerless little-endian float32 (x, y, z, intensity) streams;
 labels are line-oriented text records "cx cy cz w l h yaw class_id [score]"
 with '#' comments. Config files are flat key = value text with angles in
 degrees; everything is radians internally, converted once at parse time.
+
+Every file this package writes goes through `_replace_file`, which replaces
+an existing output with a new file instead of truncating it in place.
 """
 
 from __future__ import annotations
@@ -44,6 +47,24 @@ class ConfigError(ValueError):
 RECORD_BYTES = 16  # four little-endian float32 per point
 
 
+def _replace_file(path: str | Path, data: bytes) -> None:
+    """Write `data` to `path` as a new file, replacing any regular file there.
+
+    Callers validate and format before calling, so a refused write never
+    touches the path. Symlinks are resolved first, so the link stays and its
+    target is replaced. The old file is unlinked rather than truncated:
+    ext4, XFS and btrfs start writeback when a file truncated to zero is
+    closed, and the next truncation of it waits for that writeback, so
+    rewriting an output in place waits on the disk. A reader that has the
+    old file open, or a hard link to it, keeps the old bytes. A device or
+    FIFO is written in place, never deleted; a directory raises OSError.
+    """
+    target = Path(path).resolve()
+    if target.is_file():
+        target.unlink(missing_ok=True)
+    target.write_bytes(data)
+
+
 def read_cloud(path: str | Path, domain_tag: DomainTag = DomainTag.SOURCE) -> Scene:
     raw = Path(path).read_bytes()
     if len(raw) % RECORD_BYTES != 0:
@@ -57,9 +78,13 @@ def read_cloud(path: str | Path, domain_tag: DomainTag = DomainTag.SOURCE) -> Sc
 
 
 def write_cloud(scene: Scene, path: str | Path) -> None:
-    if not np.isfinite(scene.points).all():
-        raise NonFiniteValue("refusing to write non-finite points")
-    Path(path).write_bytes(scene.points.astype("<f4").tobytes())
+    # check the float32 values: a finite coordinate beyond float32 range
+    # casts to inf, which read_cloud would reject
+    with np.errstate(over="ignore"):
+        data = scene.points.astype("<f4")
+    if not np.isfinite(data).all():
+        raise NonFiniteValue("refusing to write points that are not finite in float32")
+    _replace_file(path, data.tobytes())
 
 
 def read_labels(path: str | Path) -> list[Box3D]:
@@ -74,7 +99,10 @@ def read_labels(path: str | Path) -> list[Box3D]:
                 raise MalformedRecord(lineno, f"expected 8 or 9 fields, got {len(tokens)}")
             try:
                 cx, cy, cz, w, l, h, yaw = (float(t) for t in tokens[:7])
-                class_id = int(float(tokens[7]))
+                class_value = float(tokens[7])
+                if not class_value.is_integer():  # also false for inf and nan
+                    raise ValueError(f"class id {tokens[7]!r} is not an integer")
+                class_id = int(class_value)
                 score = float(tokens[8]) if len(tokens) == 9 else None
                 boxes.append(Box3D(cx, cy, cz, w, l, h, yaw, class_id, score))
             except ValueError as exc:
@@ -90,7 +118,8 @@ def write_labels(boxes: Sequence[Box3D], path: str | Path) -> None:
         if b.score is not None:
             fields.append(f"{b.score:.9g}")
         lines.append(" ".join(fields))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    text = "\n".join(lines) + ("\n" if lines else "")
+    _replace_file(path, text.encode("utf-8"))
 
 
 def _parse_bool(value: str) -> bool:
@@ -220,7 +249,7 @@ def load_config(path: str | Path, defaults: PipelineConfig | None = None) -> Pip
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(format_config(cfg), encoding="utf-8")
+    _replace_file(path, format_config(cfg).encode("utf-8"))
 
 
 def _load_role(

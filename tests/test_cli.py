@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -140,6 +141,30 @@ class TestPipeline:
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run("pipeline", str(tmp_path / "missing")) == 2
 
+    def test_out_replaced_not_rewritten(self, manifest, tmp_path):
+        out, link = tmp_path / "s.json", tmp_path / "link.json"
+        assert run("pipeline", str(manifest), "--seed", "1", "--out", str(out)) == 0
+        old = out.read_bytes()
+        os.link(out, link)
+        assert run("pipeline", str(manifest), "--seed", "2", "--out", str(out)) == 0
+        assert link.read_bytes() == old
+        assert out.read_bytes() != old
+
+    def test_out_through_symlink(self, manifest, tmp_path):
+        target, link, direct = tmp_path / "t.json", tmp_path / "l.json", tmp_path / "d.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run("pipeline", str(manifest), "--out", str(link)) == 0
+        assert run("pipeline", str(manifest), "--out", str(direct)) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == direct.read_bytes()
+
+    def test_out_directory_is_io_error(self, manifest, tmp_path):
+        out = tmp_path / "summary"
+        out.mkdir()
+        assert run("pipeline", str(manifest), "--out", str(out)) == 2
+        assert out.is_dir()
+
 
 class TestGradcheck:
     def test_prints_small_error(self, capsys):
@@ -156,6 +181,14 @@ class TestErrorMapping:
 
     def test_unknown_command_is_validation_error(self):
         assert run("frobnicate") == 1
+
+    @pytest.mark.parametrize("class_id", ["inf", "1e400", "2.7"])
+    def test_bad_class_id_is_io_error(self, manifest, tmp_path, class_id):
+        cloud = next((manifest / "target_unlabeled").glob("*.bin"))
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"0 0 0 1 1 1 0 {class_id}\n")
+        assert run("adv", str(cloud), str(labels), "--out", str(tmp_path / "o")) == 2
+        assert not (tmp_path / "o.bin").exists()
 
     def test_truncated_cloud_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -58,9 +60,14 @@ class TestCloudFiles:
             read_cloud(path)
 
     def test_non_finite_rejected_on_write(self, tmp_path):
-        scene = Scene(np.array([[1.0, 2.0, np.inf, 0.0]]))
-        with pytest.raises(NonFiniteValue):
-            write_cloud(scene, tmp_path / "x.bin")
+        path = tmp_path / "x.bin"
+        write_cloud(Scene(np.ones((2, 4))), path)
+        before = path.read_bytes()
+        # 1e39 is finite in float64 but overflows float32 to inf
+        for bad in (np.inf, 1e39):
+            with pytest.raises(NonFiniteValue):
+                write_cloud(Scene(np.array([[1.0, 2.0, bad, 0.0]])), path)
+            assert path.read_bytes() == before
 
     def test_order_preserved(self, rng, tmp_path):
         pts = np.arange(40, dtype=np.float64).reshape(10, 4)
@@ -96,6 +103,18 @@ class TestLabelFiles:
         path.write_text("a b c d e f g h\n")
         with pytest.raises(MalformedRecord):
             read_labels(path)
+        # the class id must be a finite integral value
+        for class_id in ("inf", "1e400", "nan", "2.7"):
+            path.write_text(f"# header\n0 0 0 1 1 1 0 {class_id}\n")
+            with pytest.raises(MalformedRecord) as exc:
+                read_labels(path)
+            assert exc.value.line == 2
+
+    @pytest.mark.parametrize("token", ["2", "2.0", "2e0"])
+    def test_integral_class_id_accepted(self, tmp_path, token):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0 0 0 1 1 1 0 {token}\n")
+        assert read_labels(path)[0].class_id == 2
 
     def test_bad_sizes_malformed(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -218,6 +237,71 @@ class TestConfig:
     def test_comments_allowed(self):
         cfg = parse_config("# a comment\np_tm = 0.2  # inline\n")
         assert cfg.p_tm == 0.2
+
+
+def _write_cloud(path, version):
+    write_cloud(Scene(np.full((3, 4), float(version))), path)
+
+
+def _write_labels(path, version):
+    write_labels([Box3D(float(version), 0, 0, 1, 1, 1, 0, 1)], path)
+
+
+def _save_config(path, version):
+    save_config(PipelineConfig(seed=version), path)
+
+
+WRITERS = [_write_cloud, _write_labels, _save_config]
+
+
+class TestReplaceOnWrite:
+    """Every writer replaces an existing output with a new file; it never
+    truncates and rewrites the old one."""
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_hard_link_keeps_old_bytes(self, tmp_path, write):
+        path, link = tmp_path / "out", tmp_path / "link"
+        write(path, 1)
+        old = path.read_bytes()
+        os.link(path, link)
+        write(path, 2)
+        assert link.read_bytes() == old
+        assert path.read_bytes() != old
+        assert not path.samefile(link)
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_symlink_target_replaced(self, tmp_path, write):
+        target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+        write(target, 1)
+        link.symlink_to(target)
+        write(link, 2)
+        write(fresh, 2)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_directory_path_raises(self, tmp_path, write):
+        directory = tmp_path / "out"
+        directory.mkdir()
+        (directory / "kept").write_text("kept\n")
+        with pytest.raises(OSError):
+            write(directory, 1)
+        assert (directory / "kept").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_fifo_written_in_place(self, tmp_path, write):
+        # a device or FIFO (say --out /dev/null) must never be deleted
+        fifo, reference = tmp_path / "fifo", tmp_path / "reference"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write(fifo, 1)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        write(reference, 1)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == reference.read_bytes()
 
 
 class TestManifest:
