@@ -67,7 +67,9 @@ class PerturbationConfig:
         total = sum(w)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mode_weights must sum to 1, got {total}")
-        object.__setattr__(self, "mode_weights", tuple(x / total for x in w))
+        # kept as given, not divided by total: a total 1 ulp off 1 would move
+        # the weights on every rebuild, and rng.choice rescales them anyway
+        object.__setattr__(self, "mode_weights", w)
 
 
 class GradientProvider(Protocol):

@@ -11,14 +11,13 @@ import dataclasses
 import json
 import logging
 import sys
-
-import numpy as np
+from pathlib import Path
 
 from . import io as lio
 from .gradcheck import run_gradcheck
 from .geometry import DomainTag
 from .oracle import GridClusterOracle
-from .pipeline import run_full
+from .pipeline import run_full, seeded_rng
 from .sector_mix import sample_sectors, polar_mix
 from .sensor import lidar_distribution_match
 from .synth import synthesize_dataset
@@ -26,15 +25,20 @@ from .adversarial import adversarial_perturb_detailed
 
 
 def _load_cfg(args) -> "lio.PipelineConfig":
-    cfg = lio.load_config(args.config) if args.config else lio.PipelineConfig()
-    if getattr(args, "seed", None) is not None:
+    """--config if given, else the manifest's config.txt for `pipeline`, else
+    the defaults; then --seed, if given, replaces the seed."""
+    if args.config or hasattr(args, "manifest"):
+        cfg = lio.load_config(args.config or Path(args.manifest) / "config.txt")
+    else:
+        cfg = lio.PipelineConfig()
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def _cmd_match(args) -> int:
     cfg = _load_cfg(args)
-    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(cfg.seed)
     scene = lio.read_cloud(args.cloud, DomainTag.SOURCE)
     out = lidar_distribution_match(scene, cfg.source_spec, cfg.target_spec, rng, cfg.random_stride)
     lio.write_cloud(out, args.out)
@@ -44,7 +48,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_mix(args) -> int:
     cfg = _load_cfg(args)
-    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(cfg.seed)
     source = lio.read_cloud(args.source_cloud, DomainTag.SOURCE)
     if args.source_labels:
         source.boxes = lio.read_labels(args.source_labels)
@@ -64,7 +68,7 @@ def _cmd_mix(args) -> int:
 
 def _cmd_adv(args) -> int:
     cfg = _load_cfg(args)
-    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(cfg.seed)
     scene = lio.read_cloud(args.cloud, DomainTag.TARGET_UNLABELED)
     boxes = lio.read_labels(args.labels)
     provider = GridClusterOracle(smooth_l1_knee=cfg.smooth_l1_knee)
@@ -76,11 +80,8 @@ def _cmd_adv(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    bundle, cfg = lio.load_manifest(args.manifest)
-    if args.config:
-        cfg = lio.load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    bundle = lio.load_bundle(args.manifest)
+    cfg = _load_cfg(args)
     report_tm, report_am = run_full(cfg, bundle)
     summary = json.dumps(
         {"targetmix": report_tm.to_dict(), "advmix": report_am.to_dict()},
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run both stages on a manifest directory")
     p.add_argument("manifest")
-    p.add_argument("--config", help="override the manifest's config.txt")
+    p.add_argument("--config", help="read this config instead of the manifest's config.txt")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="summary JSON path (default: print to stdout)")
     p.set_defaults(func=_cmd_pipeline)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .adversarial import surrogate_loss
 from .geometry import Box3D, DomainTag, Scene
+from .pipeline import seeded_rng
 
 DEFAULT_STEP = 1e-5
 
@@ -99,7 +100,7 @@ def run_gradcheck(
     seed: int = 0, trials: int = 50, step: float = DEFAULT_STEP, knee: float = 1.0
 ) -> float:
     """Max relative gradient error over a batch of random fixtures."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(trials):
         scene, boxes = make_gradcheck_fixture(rng, knee)

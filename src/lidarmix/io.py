@@ -11,17 +11,16 @@ an existing output with a new file instead of truncating it in place.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .adversarial import PerturbationConfig
 from .geometry import Box3D, DomainTag, Scene
 from .pipeline import DatasetBundle, PipelineConfig
-from .sector_mix import SectorParams
-from .sensor import SensorSpec
 
 
 class TruncatedFile(ValueError):
@@ -131,48 +130,72 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _config_values(cfg: PipelineConfig) -> dict:
-    """Every config key with its value in file units, in file order."""
-    return {
-        "source_channels": cfg.source_spec.channels,
-        "source_points_per_channel": cfg.source_spec.points_per_channel,
-        "source_vfov_min_deg": math.degrees(cfg.source_spec.vfov_min),
-        "source_vfov_max_deg": math.degrees(cfg.source_spec.vfov_max),
-        "target_channels": cfg.target_spec.channels,
-        "target_points_per_channel": cfg.target_spec.points_per_channel,
-        "target_vfov_min_deg": math.degrees(cfg.target_spec.vfov_min),
-        "target_vfov_max_deg": math.degrees(cfg.target_spec.vfov_max),
-        "p_tm": cfg.p_tm,
-        "p_am": cfg.p_am,
-        "lambda": cfg.lam,
-        "epsilon": cfg.perturbation.epsilon,
-        "rho": cfg.perturbation.rho,
-        "k_sectors": cfg.sectors.k,
-        "sector_min_width_deg": math.degrees(cfg.sectors.min_width),
-        "sector_max_width_deg": math.degrees(cfg.sectors.max_width),
-        "epochs_tm": cfg.epochs_tm,
-        "epochs_am": cfg.epochs_am,
-        "seed": cfg.seed,
-        "pseudo_score_threshold": cfg.pseudo_score_threshold,
-        "mode_weight_translate": cfg.perturbation.mode_weights[0],
-        "mode_weight_add": cfg.perturbation.mode_weights[1],
-        "mode_weight_remove": cfg.perturbation.mode_weights[2],
-        "smooth_l1_knee": cfg.smooth_l1_knee,
-        "random_stride": cfg.random_stride,
-        "augment_labeled": cfg.augment_labeled,
-    }
+# Every config key and the PipelineConfig attribute it sets, in file order.
+# A numeric path part indexes a tuple. A key ending in _deg holds degrees of
+# an attribute in radians.
+_CONFIG_KEYS = {
+    "source_channels": "source_spec.channels",
+    "source_points_per_channel": "source_spec.points_per_channel",
+    "source_vfov_min_deg": "source_spec.vfov_min",
+    "source_vfov_max_deg": "source_spec.vfov_max",
+    "target_channels": "target_spec.channels",
+    "target_points_per_channel": "target_spec.points_per_channel",
+    "target_vfov_min_deg": "target_spec.vfov_min",
+    "target_vfov_max_deg": "target_spec.vfov_max",
+    "p_tm": "p_tm",
+    "p_am": "p_am",
+    "lambda": "lam",
+    "epsilon": "perturbation.epsilon",
+    "rho": "perturbation.rho",
+    "k_sectors": "sectors.k",
+    "sector_min_width_deg": "sectors.min_width",
+    "sector_max_width_deg": "sectors.max_width",
+    "epochs_tm": "epochs_tm",
+    "epochs_am": "epochs_am",
+    "seed": "seed",
+    "pseudo_score_threshold": "pseudo_score_threshold",
+    "mode_weight_translate": "perturbation.mode_weights.0",
+    "mode_weight_add": "perturbation.mode_weights.1",
+    "mode_weight_remove": "perturbation.mode_weights.2",
+    "smooth_l1_knee": "smooth_l1_knee",
+    "random_stride": "random_stride",
+    "augment_labeled": "augment_labeled",
+}
 
 
-def parse_config(text: str, defaults: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse flat key = value text into a PipelineConfig. Unknown keys are
-    rejected; values are validated by the config dataclasses."""
-    values = _config_values(defaults if defaults is not None else PipelineConfig())
-    # each key's parser is the type of its default; bool("false") is True,
-    # so booleans get _parse_bool
-    parsers = {
-        key: _parse_bool if isinstance(value, bool) else type(value)
-        for key, value in _config_values(PipelineConfig()).items()
+def _part(obj, name: str):
+    return obj[int(name)] if isinstance(obj, tuple) else getattr(obj, name)
+
+
+def _config_value(cfg: PipelineConfig, key: str):
+    """The value of a config key in file units."""
+    value = functools.reduce(_part, _CONFIG_KEYS[key].split("."), cfg)
+    return math.degrees(value) if key.endswith("_deg") else value
+
+
+def _replaced(obj, changes: dict):
+    """A copy of obj with each attribute path in `changes` set to its value.
+    Each nested value is rebuilt once, so its joint checks (vfov_min <
+    vfov_max, mode weights summing to 1) see all of its changes together."""
+    groups = {}  # head -> {rest of path: value}; a leaf's rest is ""
+    for path, value in changes.items():
+        head, _, rest = path.partition(".")
+        groups.setdefault(head, {})[rest] = value
+    fields = {
+        head: sub[""] if "" in sub else _replaced(_part(obj, head), sub)
+        for head, sub in groups.items()
     }
+    if isinstance(obj, tuple):
+        return tuple(fields.get(str(i), old) for i, old in enumerate(obj))
+    return dataclasses.replace(obj, **fields)
+
+
+def parse_config(text: str) -> PipelineConfig:
+    """Parse flat key = value text into a PipelineConfig. Unknown keys and
+    non-finite floats are rejected; values are validated by the config
+    dataclasses."""
+    defaults = PipelineConfig()
+    changes = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -181,51 +204,20 @@ def parse_config(text: str, defaults: PipelineConfig | None = None) -> PipelineC
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in parsers:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        # each key's parser is the type of its default; bool("false") is
+        # True, so booleans get _parse_bool
+        default = _config_value(defaults, key)
         try:
-            values[key] = parsers[key](value)
+            parsed = _parse_bool(value) if isinstance(default, bool) else type(default)(value)
+            if isinstance(parsed, float) and not math.isfinite(parsed):
+                raise ValueError(f"{value!r} is not finite")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        changes[_CONFIG_KEYS[key]] = math.radians(parsed) if key.endswith("_deg") else parsed
     try:
-        return PipelineConfig(
-            source_spec=SensorSpec.from_degrees(
-                values["source_channels"],
-                values["source_points_per_channel"],
-                values["source_vfov_min_deg"],
-                values["source_vfov_max_deg"],
-            ),
-            target_spec=SensorSpec.from_degrees(
-                values["target_channels"],
-                values["target_points_per_channel"],
-                values["target_vfov_min_deg"],
-                values["target_vfov_max_deg"],
-            ),
-            p_tm=values["p_tm"],
-            p_am=values["p_am"],
-            lam=values["lambda"],
-            perturbation=PerturbationConfig(
-                epsilon=values["epsilon"],
-                rho=values["rho"],
-                mode_weights=(
-                    values["mode_weight_translate"],
-                    values["mode_weight_add"],
-                    values["mode_weight_remove"],
-                ),
-            ),
-            sectors=SectorParams(
-                k=values["k_sectors"],
-                min_width=math.radians(values["sector_min_width_deg"]),
-                max_width=math.radians(values["sector_max_width_deg"]),
-            ),
-            epochs_tm=values["epochs_tm"],
-            epochs_am=values["epochs_am"],
-            pseudo_score_threshold=values["pseudo_score_threshold"],
-            seed=values["seed"],
-            smooth_l1_knee=values["smooth_l1_knee"],
-            random_stride=values["random_stride"],
-            augment_labeled=values["augment_labeled"],
-        )
+        return _replaced(defaults, changes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -235,7 +227,8 @@ def format_config(cfg: PipelineConfig) -> str:
     degrees are rounded to 9 significant digits, which hides the rounding
     of radians -> degrees for a value that was read from a file."""
     lines = []
-    for key, value in _config_values(cfg).items():
+    for key in _CONFIG_KEYS:
+        value = _config_value(cfg, key)
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
@@ -244,47 +237,50 @@ def format_config(cfg: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str | Path, defaults: PipelineConfig | None = None) -> PipelineConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), defaults)
+def load_config(path: str | Path) -> PipelineConfig:
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def save_config(cfg: PipelineConfig, path: str | Path) -> None:
     _replace_file(path, format_config(cfg).encode("utf-8"))
 
 
-def _load_role(
-    directory: Path, domain_tag: DomainTag, labels: str
-) -> list[Scene]:
-    """labels: 'required', 'optional', or 'none'."""
+# Each manifest role (its directory and DatasetBundle field), the tag of its
+# scenes, and whether its clouds carry labels: "required", "optional" or "none".
+_ROLES = (
+    ("source", DomainTag.SOURCE, "optional"),
+    ("target_labeled", DomainTag.TARGET_LABELED, "required"),
+    ("target_unlabeled", DomainTag.TARGET_UNLABELED, "none"),
+)
+
+
+def _load_role(directory: Path, domain_tag: DomainTag, labels: str) -> list[Scene]:
     scenes = []
     for cloud_path in sorted(directory.glob("*.bin")):
         scene = read_cloud(cloud_path, domain_tag)
         label_path = cloud_path.with_suffix(".txt")
         if labels == "required" and not label_path.exists():
             raise FileNotFoundError(f"missing labels for {cloud_path}")
-        if labels in ("required", "optional") and label_path.exists():
+        if labels != "none" and label_path.exists():
             scene.boxes = read_labels(label_path)
         scenes.append(scene)
     return scenes
 
 
-def load_manifest(root: str | Path) -> tuple[DatasetBundle, PipelineConfig]:
-    """Load a manifest directory: source/*.bin (labels optional),
-    target_labeled/*.bin + .txt, target_unlabeled/*.bin, config.txt."""
+def load_bundle(root: str | Path) -> DatasetBundle:
+    """Load the scenes of a manifest directory: source/*.bin (labels
+    optional), target_labeled/*.bin + .txt, target_unlabeled/*.bin."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"manifest directory not found: {root}")
-    cfg = load_config(root / "config.txt")
-    bundle = DatasetBundle(
-        source=_load_role(root / "source", DomainTag.SOURCE, labels="optional"),
-        target_labeled=_load_role(
-            root / "target_labeled", DomainTag.TARGET_LABELED, labels="required"
-        ),
-        target_unlabeled=_load_role(
-            root / "target_unlabeled", DomainTag.TARGET_UNLABELED, labels="none"
-        ),
+    return DatasetBundle(
+        **{role: _load_role(root / role, tag, labels) for role, tag, labels in _ROLES}
     )
-    return bundle, cfg
+
+
+def load_manifest(root: str | Path) -> tuple[DatasetBundle, PipelineConfig]:
+    """Load a manifest directory: its scenes (see load_bundle) and config.txt."""
+    return load_bundle(root), load_config(Path(root) / "config.txt")
 
 
 def save_manifest(bundle: DatasetBundle, cfg: PipelineConfig, root: str | Path) -> None:
@@ -292,19 +288,14 @@ def save_manifest(bundle: DatasetBundle, cfg: PipelineConfig, root: str | Path) 
     FileExistsError, before writing anything, when a role directory already
     holds clouds: load_manifest would mix them into the new bundle."""
     root = Path(root)
-    roles = (
-        ("source", bundle.source, True),
-        ("target_labeled", bundle.target_labeled, True),
-        ("target_unlabeled", bundle.target_unlabeled, False),
-    )
-    for role, _, _ in roles:
+    for role, _, _ in _ROLES:
         if any((root / role).glob("*.bin")):
             raise FileExistsError(f"{root / role} already holds *.bin clouds")
-    for role, scenes, with_labels in roles:
+    for role, _, labels in _ROLES:
         directory = root / role
         directory.mkdir(parents=True, exist_ok=True)
-        for i, scene in enumerate(scenes):
+        for i, scene in enumerate(getattr(bundle, role)):
             write_cloud(scene, directory / f"{i:04d}.bin")
-            if with_labels:
+            if labels != "none":
                 write_labels(scene.boxes, directory / f"{i:04d}.txt")
     save_config(cfg, root / "config.txt")

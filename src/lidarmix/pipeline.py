@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -105,14 +105,7 @@ class StageReport:
     max_delta_norm_error: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "seed": self.seed,
-            "pseudo_boxes_kept": self.pseudo_boxes_kept,
-            "pseudo_boxes_discarded": self.pseudo_boxes_discarded,
-            "max_delta_norm_error": self.max_delta_norm_error,
-            "epochs": [vars(e).copy() for e in self.epochs],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -124,10 +117,11 @@ class PseudoLabelStats:
     discarded: int = 0
 
 
-def _stage_rng(seed: int, stage_index: int) -> np.random.Generator:
-    # mask so signed 64-bit seeds stay valid SeedSequence entropy
+def seeded_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Every random stream in the package starts here. Any signed 64-bit seed
+    is valid; a non-negative one with no spawn key gives default_rng(seed)."""
     entropy = seed & 0xFFFFFFFFFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(stage_index,)))
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))
 
 
 def _detection_loss(oracle: DetectorOracle, scene: Scene) -> float:
@@ -165,7 +159,7 @@ def run_targetmix_stage(
     scene otherwise, and evaluate the oracle's detection loss on each."""
     if not source_scenes or not target_labeled_scenes:
         raise EmptyDataset("stage 1 needs non-empty source and target-labeled sets")
-    rng = _stage_rng(cfg.seed, 1)
+    rng = seeded_rng(cfg.seed, 1)
     matched = [
         lidar_distribution_match(
             s, cfg.source_spec, cfg.target_spec, rng=rng, random_stride=cfg.random_stride
@@ -253,7 +247,7 @@ def run_advmix_stage(
     """
     if not target_labeled or not pseudo_labeled:
         raise EmptyDataset("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
-    rng = _stage_rng(cfg.seed, 2)
+    rng = seeded_rng(cfg.seed, 2)
     n_tl, n_tu = len(target_labeled), len(pseudo_labeled)
     report = StageReport("advmix", cfg.seed)
     report.pseudo_boxes_kept = sum(len(s.boxes) for s in pseudo_labeled)
@@ -324,7 +318,6 @@ def run_full(
     )
     student = teacher.clone() if hasattr(teacher, "clone") else teacher
     report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, teacher, student)
-    report_am.pseudo_boxes_kept = stats.kept
     report_am.pseudo_boxes_discarded = stats.discarded
     logger.info(
         "pipeline done: pseudo kept=%d discarded=%d", stats.kept, stats.discarded

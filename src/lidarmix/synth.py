@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box3D, DomainTag, Scene
-from .pipeline import DatasetBundle
+from .pipeline import DatasetBundle, seeded_rng
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec
 
 
@@ -119,9 +119,7 @@ def synthesize_dataset(
     Unlabeled scenes are generated with objects but shipped without boxes;
     pseudo-labeling is the pipeline's job.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(17,))
-    )
+    rng = seeded_rng(seed, 17)
 
     def make(count, spec, tag, keep_boxes):
         scenes = []

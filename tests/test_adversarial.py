@@ -144,6 +144,13 @@ class TestPerturbationDelta:
         assert cfg.rho == 0.5
         assert cfg.mode_weights == (1 / 3, 1 / 3, 1 / 3)
 
+    def test_mode_weights_kept_as_given(self):
+        # dividing by a sum 1 ulp off 1 moved these weights on every rebuild
+        weights = (0.3, 0.650117356456145, (1.0 - 0.3) - 0.650117356456145)
+        cfg = PerturbationConfig(mode_weights=weights)
+        assert cfg.mode_weights == weights
+        assert PerturbationConfig(mode_weights=cfg.mode_weights) == cfg
+
 
 class ZeroingProvider(SurrogateProvider):
     """Surrogate loss with the gradient zeroed on the rows in zero_rows."""

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,25 @@ class TestPipeline:
         assert link.is_symlink()
         assert target.read_bytes() == direct.read_bytes()
 
+    @pytest.mark.parametrize("manifest_config", [None, "p_tm = 7\n"])
+    def test_config_flag_replaces_config_txt(self, manifest, tmp_path, manifest_config):
+        # --config is read instead of config.txt, which may be missing or invalid
+        copy, cfg = tmp_path / "m", tmp_path / "cfg.txt"
+        shutil.copytree(manifest, copy)
+        shutil.move(copy / "config.txt", cfg)
+        if manifest_config is not None:
+            (copy / "config.txt").write_text(manifest_config)
+        out, expected = tmp_path / "s.json", tmp_path / "expected.json"
+        assert run("pipeline", str(copy), "--config", str(cfg), "--out", str(out)) == 0
+        assert run("pipeline", str(manifest), "--out", str(expected)) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_non_finite_config_is_validation_error(self, manifest, tmp_path):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "s.json"
+        cfg.write_text("lambda = nan\n")
+        assert run("pipeline", str(manifest), "--config", str(cfg), "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_out_directory_is_io_error(self, manifest, tmp_path):
         out = tmp_path / "summary"
         out.mkdir()
@@ -173,6 +193,14 @@ class TestGradcheck:
         match = re.search(r"=\s*([0-9.eE+-]+)", out)
         assert match, out
         assert float(match.group(1)) < 1e-5
+
+    def test_negative_seed_is_its_unsigned_twin(self, capsys):
+        outputs = []
+        for seed in ("-1", "18446744073709551615"):
+            assert run("gradcheck", "--seed", seed, "--trials", "5") == 0
+            outputs.append(capsys.readouterr().out)
+        assert "max relative error" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestErrorMapping:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import stat
@@ -11,6 +12,7 @@ from conftest import random_box, random_scene
 from lidarmix.adversarial import PerturbationConfig
 from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.io import (
+    _CONFIG_KEYS,
     ConfigError,
     MalformedRecord,
     NonFiniteValue,
@@ -210,11 +212,71 @@ class TestConfig:
             "source_channels = 0",
             "target_points_per_channel = 0",
             "target_vfov_min_deg = 10\ntarget_vfov_max_deg = -30",
+            "lambda = nan",
+            "lambda = inf",
+            "epsilon = inf",
+            "smooth_l1_knee = inf",
+            "mode_weight_translate = nan",
+            "source_vfov_max_deg = inf",
         ],
     )
     def test_out_of_range_values_rejected(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+    def test_non_finite_value_names_line_and_key(self):
+        with pytest.raises(ConfigError, match=r"^line 2: bad value for 'lambda'"):
+            parse_config("p_tm = 0.2\nlambda = -inf\n")
+
+    def test_every_field_has_exactly_one_key(self):
+        def leaves(value, path):
+            if dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from leaves(getattr(value, f.name), path + [f.name])
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    yield from leaves(item, path + [str(i)])
+            else:
+                yield ".".join(path)
+
+        assert sorted(_CONFIG_KEYS.values()) == sorted(leaves(PipelineConfig(), []))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_all_keys_round_trip(self, data):
+        def degree_pair(lo, hi):
+            # at most 9 significant digits, as format_config writes them; a
+            # subnormal would convert to 0 radians, equal to its partner
+            nine_digits = st.floats(lo, hi, allow_subnormal=False).map(lambda v: float(f"{v:.9g}"))
+            return sorted(data.draw(st.lists(nine_digits, min_size=2, max_size=2, unique=True)))
+
+        unit = st.floats(0.0, 1.0)
+        w_translate = data.draw(unit)
+        w_add = data.draw(st.floats(0.0, 1.0 - w_translate))
+        values = {
+            "mode_weight_translate": w_translate,
+            "mode_weight_add": w_add,
+            "mode_weight_remove": (1.0 - w_translate) - w_add,
+        }
+        values["sector_min_width_deg"], values["sector_max_width_deg"] = degree_pair(1e-3, 360.0)
+        for prefix in ("source", "target"):
+            vfov = degree_pair(-90.0, 90.0)
+            values[f"{prefix}_vfov_min_deg"], values[f"{prefix}_vfov_max_deg"] = vfov
+            values[f"{prefix}_channels"] = data.draw(st.integers(1, 256))
+            values[f"{prefix}_points_per_channel"] = data.draw(st.integers(1, 4096))
+        for key in ("p_tm", "p_am", "rho", "pseudo_score_threshold"):
+            values[key] = data.draw(unit)
+        for key in ("k_sectors", "epochs_tm", "epochs_am"):
+            values[key] = data.draw(st.integers(1, 8))
+        for key in ("random_stride", "augment_labeled"):
+            values[key] = "true" if data.draw(st.booleans()) else "false"
+        values["lambda"] = data.draw(st.floats(0.0, 1e6))
+        values["epsilon"] = data.draw(st.floats(1e-12, 10.0))
+        values["smooth_l1_knee"] = data.draw(st.floats(1e-12, 1e3))
+        values["seed"] = data.draw(st.integers(-(2**63), 2**63 - 1))
+        assert set(values) == set(_CONFIG_KEYS)
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert parse_config(format_config(cfg)) == cfg
 
     def test_bad_syntax_rejected(self):
         with pytest.raises(ConfigError):
