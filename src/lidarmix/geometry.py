@@ -244,29 +244,6 @@ def points_in_box(scene: Scene, box: Box3D) -> np.ndarray:
     return assign_points(scene.xyz, [box])[1]
 
 
-def _transform_box(box: Box3D, flip_x: bool, flip_y: bool, rot_z: float, scale: float) -> Box3D:
-    cx, cy, cz, yaw = box.cx, box.cy, box.cz, box.yaw
-    if flip_x:
-        cy, yaw = -cy, -yaw
-    if flip_y:
-        cx, yaw = -cx, -(yaw + math.pi)
-    if rot_z != 0.0:
-        c, s = math.cos(rot_z), math.sin(rot_z)
-        cx, cy = cx * c - cy * s, cx * s + cy * c
-        yaw = yaw + rot_z
-    return Box3D(
-        cx * scale,
-        cy * scale,
-        cz * scale,
-        box.w * scale,
-        box.l * scale,
-        box.h * scale,
-        yaw,
-        box.class_id,
-        box.score,
-    )
-
-
 def apply_rigid_transform(
     scene: Scene, flip_x: bool, flip_y: bool, rot_z: float, scale: float
 ) -> Scene:
@@ -278,17 +255,28 @@ def apply_rigid_transform(
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise NonPositiveScale(f"scale must be > 0, got {scale}")
-    pts = scene.points.copy()
+    # Each box rides along as one more row (cx, cy, cz, yaw), so its centre
+    # goes through the same arithmetic as the points.
+    n = scene.n_points
+    box_rows = np.array([(b.cx, b.cy, b.cz, b.yaw) for b in scene.boxes]).reshape(-1, 4)
+    rows = np.concatenate([scene.points, box_rows])
+    yaws = rows[n:, 3]
     if flip_x:
-        pts[:, 1] = -pts[:, 1]
+        rows[:, 1] = -rows[:, 1]
+        yaws[:] = -yaws
     if flip_y:
-        pts[:, 0] = -pts[:, 0]
+        rows[:, 0] = -rows[:, 0]
+        yaws[:] = -(yaws + math.pi)
     if rot_z != 0.0:
         c, s = math.cos(rot_z), math.sin(rot_z)
-        x, y = pts[:, 0].copy(), pts[:, 1].copy()
-        pts[:, 0] = x * c - y * s
-        pts[:, 1] = x * s + y * c
+        x, y = rows[:, 0].copy(), rows[:, 1].copy()
+        rows[:, 0] = x * c - y * s
+        rows[:, 1] = x * s + y * c
+        yaws += rot_z
     if scale != 1.0:
-        pts[:, :3] *= scale
-    boxes = [_transform_box(b, flip_x, flip_y, rot_z, scale) for b in scene.boxes]
-    return Scene(pts, boxes, scene.domain_tag, scene.pseudo_labeled)
+        rows[:, :3] *= scale
+    boxes = [
+        Box3D(cx, cy, cz, b.w * scale, b.l * scale, b.h * scale, yaw, b.class_id, b.score)
+        for b, (cx, cy, cz, yaw) in zip(scene.boxes, rows[n:].tolist())
+    ]
+    return Scene(rows[:n], boxes, scene.domain_tag, scene.pseudo_labeled)

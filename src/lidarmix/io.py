@@ -225,10 +225,14 @@ def parse_config(text: str) -> PipelineConfig:
 def format_config(cfg: PipelineConfig) -> str:
     """Floats are written with repr, so they read back exactly. Angles in
     degrees are rounded to 9 significant digits, which hides the rounding
-    of radians -> degrees for a value that was read from a file."""
+    of radians -> degrees for a value that was read from a file. A value not
+    finite in file units, such as an angle too large for degrees, raises
+    ConfigError: parse_config would refuse the file."""
     lines = []
     for key in _CONFIG_KEYS:
         value = _config_value(cfg, key)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} = {value} is not finite")
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .adversarial import (
 )
 from .geometry import DomainTag, Scene, apply_rigid_transform
 from .oracle import DetectorOracle, GridClusterOracle
-from .sector_mix import SectorParams, polar_mix, sample_sectors, targetmix_sample
+from .sector_mix import SectorParams, targetmix_sample
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
 
 logger = logging.getLogger("lidarmix.pipeline")
@@ -75,6 +75,7 @@ class PipelineConfig:
             raise ValueError("epoch counts must be >= 1")
         if not self.smooth_l1_knee > 0:
             raise ValueError(f"smooth_l1_knee must be > 0, got {self.smooth_l1_knee}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -117,9 +118,16 @@ class PseudoLabelStats:
     discarded: int = 0
 
 
+def _check_seed(seed: int) -> None:
+    if not -(1 << 63) <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [-2**63, 2**64), got {seed}")
+
+
 def seeded_rng(seed: int, *spawn_key: int) -> np.random.Generator:
-    """Every random stream in the package starts here. Any signed 64-bit seed
-    is valid; a non-negative one with no spawn key gives default_rng(seed)."""
+    """Every random stream in the package starts here. A seed is in [-2**63,
+    2**64); a negative one selects the stream of its unsigned 64-bit twin, a
+    non-negative one with no spawn key gives default_rng(seed)."""
+    _check_seed(seed)
     entropy = seed & 0xFFFFFFFFFFFFFFFF
     return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))
 
@@ -147,16 +155,31 @@ def _log_epoch(stage: str, stats: EpochStats) -> None:
     )
 
 
+def _slot_pairs(
+    rng: np.random.Generator, a: Sequence[Scene], b: Sequence[Scene]
+) -> Iterator[tuple[Scene, Scene, Scene]]:
+    """One epoch of slots: every scene of `a` and of `b` once, in a seeded
+    permutation order, each paired with a scene drawn uniformly from the
+    other set. Yields (scene of a, scene of b, the slot's own scene)."""
+    n_a = len(a)
+    for slot in rng.permutation(n_a + len(b)).tolist():
+        if slot < n_a:
+            yield a[slot], b[int(rng.integers(len(b)))], a[slot]
+        else:
+            own = b[slot - n_a]
+            yield a[int(rng.integers(n_a))], own, own
+
+
 def run_targetmix_stage(
     cfg: PipelineConfig,
     source_scenes: Sequence[Scene],
     target_labeled_scenes: Sequence[Scene],
     oracle: DetectorOracle,
 ) -> StageReport:
-    """Stage 1: match all source scenes to the target sensor once, then
-    per epoch walk a seeded permutation of the source + target slots,
-    drawing a polar-mixed sample with probability p_tm and the slot's own
-    scene otherwise, and evaluate the oracle's detection loss on each."""
+    """Stage 1: match all source scenes to the target sensor once, then per
+    epoch walk the source + target slots (`_slot_pairs`), drawing a polar mix
+    of the slot's pair with probability p_tm and the slot's own scene
+    otherwise, and evaluate the oracle's detection loss on each."""
     if not source_scenes or not target_labeled_scenes:
         raise EmptyDataset("stage 1 needs non-empty source and target-labeled sets")
     rng = seeded_rng(cfg.seed, 1)
@@ -166,26 +189,16 @@ def run_targetmix_stage(
         )
         for s in source_scenes
     ]
-    n_s, n_t = len(matched), len(target_labeled_scenes)
     report = StageReport("targetmix", cfg.seed)
     for epoch in range(1, cfg.epochs_tm + 1):
         stats = EpochStats(epoch=epoch)
         losses = []
-        for slot in rng.permutation(n_s + n_t):
-            if slot < n_s:
-                partner = target_labeled_scenes[int(rng.integers(n_t))]
-                scene = targetmix_sample(rng, cfg.p_tm, matched[slot], partner, cfg.sectors)
-            else:
-                own = target_labeled_scenes[slot - n_s]
-                if rng.random() < cfg.p_tm:
-                    mask = sample_sectors(
-                        rng, cfg.sectors.k, cfg.sectors.min_width, cfg.sectors.max_width
-                    )
-                    scene = polar_mix(matched[int(rng.integers(n_s))], own, mask)
-                else:
-                    scene = own
+        for source, target, own in _slot_pairs(rng, matched, target_labeled_scenes):
+            scene = targetmix_sample(rng, cfg.p_tm, source, target, cfg.sectors)
             if scene.domain_tag is DomainTag.MIXED:
                 stats.mixed_scenes += 1
+            else:
+                scene = own
             losses.append(_detection_loss(oracle, scene))
             stats.scenes_processed += 1
             stats.points_total += scene.n_points
@@ -248,7 +261,6 @@ def run_advmix_stage(
     if not target_labeled or not pseudo_labeled:
         raise EmptyDataset("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
     rng = seeded_rng(cfg.seed, 2)
-    n_tl, n_tu = len(target_labeled), len(pseudo_labeled)
     report = StageReport("advmix", cfg.seed)
     report.pseudo_boxes_kept = sum(len(s.boxes) for s in pseudo_labeled)
     for epoch in range(1, cfg.epochs_am + 1):
@@ -256,13 +268,7 @@ def run_advmix_stage(
         det_losses = []
         total_losses = []
         cons_values = []
-        for slot in rng.permutation(n_tl + n_tu):
-            if slot < n_tl:
-                labeled = target_labeled[slot]
-                unlabeled = pseudo_labeled[int(rng.integers(n_tu))]
-            else:
-                unlabeled = pseudo_labeled[slot - n_tl]
-                labeled = target_labeled[int(rng.integers(n_tl))]
+        for labeled, unlabeled, _ in _slot_pairs(rng, target_labeled, pseudo_labeled):
             if cfg.augment_labeled:
                 labeled = apply_rigid_transform(labeled, *_random_rigid_params(rng))
             adv, outcome = adversarial_perturb_detailed(

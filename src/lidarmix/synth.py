@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene
+from .geometry import Box3D, DomainTag, Scene, xyz_from_spherical
 from .pipeline import DatasetBundle, seeded_rng
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec
 
@@ -50,15 +50,8 @@ def _ground_returns(rng: np.random.Generator, spec: SensorSpec, noise: NoisePara
     el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
     cols = rng.integers(spec.points_per_channel, size=n)
     az = (cols + 0.5) * spec.col_pitch
-    cos_el = np.cos(el)
-    return np.column_stack(
-        [
-            r * cos_el * np.cos(az),
-            r * cos_el * np.sin(az),
-            r * np.sin(el),
-            rng.uniform(0.0, 1.0, size=n),
-        ]
-    )
+    xyz = xyz_from_spherical(np.column_stack([az, el, r]))
+    return np.column_stack([xyz, rng.uniform(0.0, 1.0, size=n)])
 
 
 def _object_cluster(

@@ -203,6 +203,28 @@ class TestGradcheck:
         assert outputs[0] == outputs[1]
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-9223372036854775809"])
+    @pytest.mark.parametrize(
+        "command", ["match", "mix", "adv", "pipeline", "synth", "gradcheck"]
+    )
+    def test_seed_outside_64_bits_is_validation_error(self, manifest, tmp_path, command, seed):
+        # such a seed would alias another one once masked to 64 bits
+        cloud = str(next((manifest / "target_unlabeled").glob("*.bin")))
+        labels = str(next((manifest / "target_labeled").glob("*.txt")))
+        out = tmp_path / "out"
+        argv = {
+            "match": ["match", cloud, "--out", str(out)],
+            "mix": ["mix", cloud, cloud, "--out", str(out)],
+            "adv": ["adv", cloud, labels, "--out", str(out)],
+            "pipeline": ["pipeline", str(manifest), "--out", str(out)],
+            "synth": ["synth", "--out", str(out), "--sources", "1", "--labeled", "1"],
+            "gradcheck": ["gradcheck", "--trials", "1"],
+        }[command]
+        assert run(*argv, "--seed", seed) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrorMapping:
     def test_no_arguments_is_validation_error(self):
         assert run() == 1

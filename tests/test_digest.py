@@ -1,20 +1,36 @@
 """Golden digest of the default pipeline: any change to what run_full
-computes on the default synthetic bundle shows up here."""
+computes on the default synthetic bundle shows up here. Each stage has its
+own digest too, so a change shows which stage it moved."""
 
 import hashlib
 import json
 
+import pytest
+
 from lidarmix.pipeline import PipelineConfig, run_full
 from lidarmix.synth import synthesize_dataset
 
-DEFAULT_PIPELINE_SHA256 = "dbb2a8d9f1da2a6e8076be667b1fbf749ee213e8e3f9934bf441643e246ad0a7"
+DEFAULT_PIPELINE_SHA256 = "6117cf462b72d74ddedc12db26fd2131a6102e1fdb7f5317dc322287157566a0"
+STAGE_SHA256 = {
+    "targetmix": "a938b9725c12fb890a23890a038eca1e40eceb5f80df7275f82e44c4c9623f77",
+    "advmix": "3d9d260c5e8650be2be4e238d73bc3aeb8ee2f5df1507686e46adde5c1c01318",
+}
 
 
-def test_default_pipeline_digest():
+def sha256(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reports():
     report_tm, report_am = run_full(PipelineConfig(seed=0), synthesize_dataset(0))
-    summary = json.dumps(
-        {"targetmix": report_tm.to_dict(), "advmix": report_am.to_dict()},
-        sort_keys=True,
-        indent=2,
-    )
-    assert hashlib.sha256(summary.encode()).hexdigest() == DEFAULT_PIPELINE_SHA256
+    return {"targetmix": report_tm.to_dict(), "advmix": report_am.to_dict()}
+
+
+def test_default_pipeline_digest(reports):
+    assert sha256(reports) == DEFAULT_PIPELINE_SHA256
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_SHA256))
+def test_stage_digest(reports, stage):
+    assert sha256(reports[stage]) == STAGE_SHA256[stage]

@@ -319,7 +319,97 @@ class TestAssignPoints:
             assert np.array_equal(points_in_box(scene, box), reference_points_in_box(scene.xyz, box))
 
 
+def reference_rigid_transform(scene, flip_x, flip_y, rot_z, scale):
+    """The earlier per-box form of apply_rigid_transform: points as arrays,
+    each box centre and yaw through its own scalar arithmetic. Reference
+    for the shared row arithmetic."""
+    pts = scene.points.copy()
+    if flip_x:
+        pts[:, 1] = -pts[:, 1]
+    if flip_y:
+        pts[:, 0] = -pts[:, 0]
+    if rot_z != 0.0:
+        c, s = math.cos(rot_z), math.sin(rot_z)
+        x, y = pts[:, 0].copy(), pts[:, 1].copy()
+        pts[:, 0] = x * c - y * s
+        pts[:, 1] = x * s + y * c
+    if scale != 1.0:
+        pts[:, :3] *= scale
+    boxes = []
+    for box in scene.boxes:
+        cx, cy, cz, yaw = box.cx, box.cy, box.cz, box.yaw
+        if flip_x:
+            cy, yaw = -cy, -yaw
+        if flip_y:
+            cx, yaw = -cx, -(yaw + math.pi)
+        if rot_z != 0.0:
+            c, s = math.cos(rot_z), math.sin(rot_z)
+            cx, cy = cx * c - cy * s, cx * s + cy * c
+            yaw = yaw + rot_z
+        boxes.append(
+            Box3D(
+                cx * scale,
+                cy * scale,
+                cz * scale,
+                box.w * scale,
+                box.l * scale,
+                box.h * scale,
+                yaw,
+                box.class_id,
+                box.score,
+            )
+        )
+    return Scene(pts, boxes, scene.domain_tag, scene.pseudo_labeled)
+
+
+_coord = st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0])
+_angle = st.floats(-TWO_PI, TWO_PI) | st.sampled_from([0.0, -0.0, math.pi, -math.pi])
+_boxes = st.lists(
+    st.builds(
+        Box3D,
+        _coord,
+        _coord,
+        _coord,
+        st.floats(0.1, 10.0),
+        st.floats(0.1, 10.0),
+        st.floats(0.1, 10.0),
+        st.floats(-math.pi, math.pi) | st.sampled_from([math.pi, -math.pi, -0.0]),
+        st.integers(0, 3),
+        st.none() | st.floats(0.0, 1.0),
+    ),
+    max_size=4,
+)
+_rigid_params = st.tuples(
+    st.booleans(), st.booleans(), _angle, st.just(1.0) | st.floats(0.1, 10.0)
+)
+
+
 class TestRigidTransform:
+    @given(
+        st.lists(st.tuples(_coord, _coord, _coord, _coord), max_size=20), _boxes, _rigid_params
+    )
+    @example([], [], (False, False, 0.0, 1.0))
+    @example(
+        [(1.0, -0.0, 0.0, 0.5)], [Box3D(-0.0, 0.0, 0.0, 1, 1, 1, math.pi)], (True, True, -0.0, 1.0)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_box_reference(self, rows, boxes, params):
+        scene = Scene(np.array(rows).reshape(-1, 4), boxes, DomainTag.TARGET_LABELED, True)
+        out = apply_rigid_transform(scene, *params)
+        ref = reference_rigid_transform(scene, *params)
+        assert out.points.tobytes() == ref.points.tobytes()
+        # repr tells -0.0 from 0.0 and a numpy scalar from a float
+        assert repr(out.boxes) == repr(ref.boxes)
+        assert (out.domain_tag, out.pseudo_labeled) == (DomainTag.TARGET_LABELED, True)
+
+    @given(_boxes, _rigid_params)
+    @settings(max_examples=200, deadline=None)
+    def test_box_centre_lands_with_a_point_at_it(self, boxes, params):
+        centres = np.array([[b.cx, b.cy, b.cz, 0.0] for b in boxes]).reshape(-1, 4)
+        out = apply_rigid_transform(Scene(centres, boxes), *params)
+        moved = np.array([[b.cx, b.cy, b.cz] for b in out.boxes]).reshape(-1, 3)
+        assert moved.tobytes() == out.points[:, :3].tobytes()
+
     def test_identity_is_bitwise(self, rng):
         boxes = [random_box(rng) for _ in range(3)]
         scene = random_scene(rng, boxes=boxes)

@@ -29,6 +29,7 @@ from lidarmix.io import (
     write_labels,
 )
 from lidarmix.pipeline import DatasetBundle, PipelineConfig
+from lidarmix.sector_mix import SectorParams
 from lidarmix.synth import NoiseParams, synthesize_dataset
 
 
@@ -218,11 +219,39 @@ class TestConfig:
             "smooth_l1_knee = inf",
             "mode_weight_translate = nan",
             "source_vfov_max_deg = inf",
+            "seed = 18446744073709551616",
+            "seed = -9223372036854775809",
         ],
     )
     def test_out_of_range_values_rejected(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        cfg = parse_config(f"seed = {seed}\n")
+        assert cfg.seed == seed
+        assert parse_config(format_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            # math.degrees overflows to inf above about 3.1e306 radians
+            (PipelineConfig(sectors=SectorParams(max_width=1e308)), "sector_max_width_deg"),
+            (PipelineConfig(sectors=SectorParams(1, 1e307, 1e307)), "sector_min_width_deg"),
+            (PipelineConfig(lam=math.inf), "lambda"),
+        ],
+    )
+    def test_value_not_finite_in_file_units_refused_before_writing(self, tmp_path, cfg, key):
+        # parse_config refuses a non-finite value, so the file could not be read back
+        path = tmp_path / "config.txt"
+        save_config(PipelineConfig(), path)
+        old = path.read_bytes()
+        with pytest.raises(ConfigError, match=key):
+            format_config(cfg)
+        with pytest.raises(ConfigError, match=key):
+            save_config(cfg, path)
+        assert path.read_bytes() == old
 
     def test_non_finite_value_names_line_and_key(self):
         with pytest.raises(ConfigError, match=r"^line 2: bad value for 'lambda'"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import cluster_scene
 from lidarmix.adversarial import GradientField, PerturbationConfig
@@ -10,12 +11,14 @@ from lidarmix.pipeline import (
     EmptyDataset,
     PipelineConfig,
     PseudoLabelStats,
+    _slot_pairs,
     generate_pseudo_labels,
     run_advmix_stage,
     run_full,
     run_targetmix_stage,
+    seeded_rng,
 )
-from lidarmix.sensor import SensorSpec
+from lidarmix.sensor import SensorSpec, lidar_distribution_match
 from lidarmix.synth import NoiseParams, synthesize_dataset
 
 SMALL = SensorSpec(16, 64, -0.3, 0.1)
@@ -60,6 +63,31 @@ class TestTargetmixStage:
         mixed = sum(e.mixed_scenes for e in report.epochs)
         assert draws == 40 * 7
         assert abs(mixed / draws - 0.4) < 0.06
+
+    def test_p_zero_evaluates_every_scene_once_per_epoch(self, bundle):
+        # an unmixed slot keeps its own scene: the matched source scene in a
+        # source slot, the target scene in a target slot
+        recorder = RecordingOracle()
+        run_targetmix_stage(
+            small_cfg(p_tm=0.0, epochs_tm=3), bundle.source, bundle.target_labeled, recorder
+        )
+        matched = [lidar_distribution_match(s, SMALL, SMALL) for s in bundle.source]
+        expected = sorted(s.points.tobytes() for s in matched + bundle.target_labeled)
+        seen = [s.points.tobytes() for s in recorder.evaluated]
+        n = len(expected)
+        assert len(seen) == 3 * n
+        for epoch in range(3):
+            assert sorted(seen[epoch * n : (epoch + 1) * n]) == expected
+
+    def test_p_one_mixes_every_sample(self, bundle):
+        recorder = RecordingOracle()
+        report = run_targetmix_stage(
+            small_cfg(p_tm=1.0, epochs_tm=3), bundle.source, bundle.target_labeled, recorder
+        )
+        for e in report.epochs:
+            assert e.mixed_scenes == e.scenes_processed == 7
+        assert recorder.evaluated
+        assert all(s.domain_tag is DomainTag.MIXED for s in recorder.evaluated)
 
     def test_empty_dataset_rejected(self, bundle):
         with pytest.raises(EmptyDataset):
@@ -120,19 +148,23 @@ class TestGeneratePseudoLabels:
 
 
 class RecordingOracle:
-    """Stub detector: no boxes, zero gradients, records every scene it sees
-    and counts its gradient calls."""
+    """Stub detector: no boxes, zero gradients, records every scene it
+    predicts on and every scene it evaluates a loss on."""
 
     def __init__(self):
         self.predicted = []
-        self.gradient_calls = 0
+        self.evaluated = []
+
+    @property
+    def gradient_calls(self):
+        return len(self.evaluated)
 
     def predict(self, scene):
         self.predicted.append(scene)
         return []
 
     def loss_and_gradient(self, scene, boxes):
-        self.gradient_calls += 1
+        self.evaluated.append(scene)
         return 0.0, GradientField(np.zeros((scene.n_points, 3)))
 
     def clone(self):
@@ -211,6 +243,32 @@ class TestAdvmixStage:
         for scene in recorder.predicted:
             assert np.array_equal(scene.points[: labeled[0].n_points], labeled[0].points)
 
+    def test_every_scene_has_its_own_slot_each_epoch(self, rng):
+        # constant intensities tag each scene; with p_am = 1 and rho = 0
+        # both branches of a sample hold exactly its labeled and unlabeled
+        # scene, and every scene must own one of the epoch's samples
+        def tagged(tag, domain_tag, pseudo=False):
+            scene = cluster_scene(rng, [(8, 0, 0)], n_per=30, domain_tag=domain_tag)
+            scene.points[:, 3] = tag
+            scene.pseudo_labeled = pseudo
+            return scene
+
+        labeled = [tagged(i, DomainTag.TARGET_LABELED) for i in range(2)]
+        pseudo = [tagged(10 + j, DomainTag.TARGET_UNLABELED, True) for j in range(3)]
+        slots = [0, 1, 10, 11, 12]
+        recorder = RecordingOracle()
+        cfg = small_cfg(p_am=1.0, perturbation=PerturbationConfig(rho=0.0), epochs_am=4)
+        report = run_advmix_stage(cfg, labeled, pseudo, GridClusterOracle(), recorder)
+        samples = [sorted(set(s.intensities.tolist())) for s in recorder.predicted[::2]]
+        assert [e.scenes_processed for e in report.epochs] == [5] * 4
+        assert len(samples) == 4 * 5
+        for epoch in range(4):
+            epoch_samples = samples[epoch * 5 : (epoch + 1) * 5]
+            assert all(tag_l < 10 <= tag_u for tag_l, tag_u in epoch_samples)
+            cost = [[0 if slot in pair else 1 for slot in slots] for pair in epoch_samples]
+            rows, cols = linear_sum_assignment(cost)
+            assert np.asarray(cost)[rows, cols].sum() == 0
+
     def test_perturbation_counts_ordering(self, bundle):
         teacher = GridClusterOracle()
         pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
@@ -257,6 +315,20 @@ class TestRunFull:
             assert e.points_perturbed <= e.points_candidates <= e.points_total
 
 
+class TestSlotPairs:
+    def test_each_scene_owns_one_slot_paired_across_sets(self):
+        a, b = ["a0", "a1", "a2"], ["b0", "b1"]
+        rng = seeded_rng(4)
+        partners = set()
+        for _ in range(50):
+            slots = list(_slot_pairs(rng, a, b))
+            assert sorted(own for _, _, own in slots) == sorted(a + b)
+            for x, y, own in slots:
+                assert x in a and y in b and own in (x, y)
+                partners.add(y if own == x else x)
+        assert partners == set(a + b)
+
+
 class TestPipelineConfig:
     def test_default_hyperparameters(self):
         cfg = PipelineConfig()
@@ -273,3 +345,17 @@ class TestPipelineConfig:
             PipelineConfig(epochs_tm=0)
         with pytest.raises(ValueError):
             PipelineConfig(lam=-0.1)
+
+    @pytest.mark.parametrize("seed", [2**64, -(2**63) - 1, 2**100])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            PipelineConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            seeded_rng(seed)
+
+    def test_seed_range_bounds_accepted(self):
+        for seed in (-(2**63), 2**64 - 1):
+            assert PipelineConfig(seed=seed).seed == seed
+        twin = seeded_rng(2**63).random(4)
+        assert np.array_equal(seeded_rng(-(2**63)).random(4), twin)
+        assert seeded_rng(2**64 - 1).random() != seeded_rng(0).random()
