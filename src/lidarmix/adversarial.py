@@ -9,6 +9,7 @@ via the GradientProvider contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -57,13 +58,13 @@ class PerturbationConfig:
     mode_weights: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         w = tuple(float(x) for x in self.mode_weights)
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise ValueError(f"mode_weights must be 3 non-negative values, got {w}")
+        if len(w) != 3 or not all(0.0 <= x < math.inf for x in w):
+            raise ValueError(f"mode_weights must be 3 finite non-negative values, got {w}")
         total = sum(w)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mode_weights must sum to 1, got {total}")

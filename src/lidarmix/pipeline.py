@@ -69,12 +69,12 @@ class PipelineConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
         if self.epochs_tm < 1 or self.epochs_am < 1:
             raise ValueError("epoch counts must be >= 1")
-        if not self.smooth_l1_knee > 0:
-            raise ValueError(f"smooth_l1_knee must be > 0, got {self.smooth_l1_knee}")
+        if not 0.0 < self.smooth_l1_knee < math.inf:
+            raise ValueError(f"smooth_l1_knee must be finite and > 0, got {self.smooth_l1_knee}")
         _check_seed(self.seed)
 
 

@@ -3,6 +3,8 @@
 A scan is rasterized into a range image on the source sensor's grid,
 downsampled by integer strides derived from the channel / points-per-channel
 / VFOV ratios of the two sensors, and back-projected to Cartesian points.
+Only the lattice cells the strides keep are rasterized: points in any other
+row or column are dropped before the per-cell nearest-range sort.
 The chain adjusts beam count, points per channel, and vertical field of
 view so a source-domain scan statistically matches a target sensor.
 """
@@ -44,8 +46,10 @@ class SensorSpec:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.points_per_channel < 1:
             raise ValueError(f"points_per_channel must be >= 1, got {self.points_per_channel}")
-        if not self.vfov_min < self.vfov_max:
-            raise ValueError(f"need vfov_min < vfov_max, got [{self.vfov_min}, {self.vfov_max}]")
+        if not -math.inf < self.vfov_min < self.vfov_max < math.inf:
+            raise ValueError(
+                f"need finite vfov_min < vfov_max, got [{self.vfov_min}, {self.vfov_max}]"
+            )
 
     @classmethod
     def from_degrees(
@@ -113,13 +117,34 @@ class RangeImage:
         return RangeImage(self.ranges.copy(), self.intensities.copy(), self.spec)
 
 
-def build_range_image(scene: Scene, spec: SensorSpec) -> RangeImage:
+def _check_stride(v: int, h: int, row_offset: int, col_offset: int) -> None:
+    if v < 1 or h < 1:
+        raise ValueError(f"stride factors must be >= 1, got ({v}, {h})")
+    if not (0 <= row_offset < v and 0 <= col_offset < h):
+        raise ValueError(f"offsets ({row_offset}, {col_offset}) out of range for ({v}, {h})")
+
+
+def build_range_image(
+    scene: Scene,
+    spec: SensorSpec,
+    v: int = 1,
+    h: int = 1,
+    row_offset: int = 0,
+    col_offset: int = 0,
+) -> RangeImage:
     """Rasterize a scene onto the sensor grid.
 
     Points outside the spec's VFOV (and degenerate zero-norm points) are
     discarded; when several points fall into one cell the nearest range
-    wins, modeling first-return behavior.
+    wins, ties going to the earlier point, modeling first-return behavior.
+
+    With strides (v, h), only the lattice cells that
+    `downsample_range_image(img, v, h, row_offset, col_offset)` keeps are
+    rasterized: points in any other row or column are dropped before the
+    per-cell sort, and those cells stay empty. The image keeps the full
+    grid, and its kept cells are bit-identical to the unstrided build's.
     """
+    _check_stride(v, h, row_offset, col_offset)
     img = RangeImage.empty(spec)
     if scene.n_points == 0:
         return img
@@ -130,17 +155,25 @@ def build_range_image(scene: Scene, spec: SensorSpec) -> RangeImage:
         return img
     az, el, rng = az[valid], el[valid], rng[valid]
     inten = scene.intensities[valid]
-    h, w = spec.channels, spec.points_per_channel
-    rows = np.floor((el - spec.vfov_min) / spec.span * h).astype(np.intp)
-    rows[rows == h] = h - 1  # elevation exactly at vfov_max
-    cols = np.floor(az / TWO_PI * w).astype(np.intp) % w
-    cells = rows * w + cols
-    # Sort by cell then range so the first entry per cell is the nearest.
+    n_rows, n_cols = spec.channels, spec.points_per_channel
+    rows = np.floor((el - spec.vfov_min) / spec.span * n_rows).astype(np.intp)
+    rows[rows == n_rows] = n_rows - 1  # elevation exactly at vfov_max
+    cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
+    if v > 1 or h > 1:
+        on_lattice = (rows % v == row_offset) & (cols % h == col_offset)
+        rows, cols = rows[on_lattice], cols[on_lattice]
+        rng, inten = rng[on_lattice], inten[on_lattice]
+    cells = rows * n_cols + cols
+    # Sort by cell then range so the first entry per cell is the nearest;
+    # the sort is stable, so a tied range keeps the earlier point first.
     order = np.lexsort((rng, cells))
-    cells, rng, inten = cells[order], rng[order], inten[order]
-    winners_cells, winners_idx = np.unique(cells, return_index=True)
-    img.ranges.flat[winners_cells] = rng[winners_idx]
-    img.intensities.flat[winners_cells] = inten[winners_idx]
+    cells = cells[order]
+    first = np.empty(cells.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    cells, winners = cells[first], order[first]
+    img.ranges.flat[cells] = rng[winners]
+    img.intensities.flat[cells] = inten[winners]
     return img
 
 
@@ -183,10 +216,7 @@ def downsample_range_image(
     source rows; backprojection then reproduces the retained beams'
     elevations.
     """
-    if v < 1 or h < 1:
-        raise ValueError(f"stride factors must be >= 1, got ({v}, {h})")
-    if not (0 <= row_offset < v and 0 <= col_offset < h):
-        raise ValueError(f"offsets ({row_offset}, {col_offset}) out of range for ({v}, {h})")
+    _check_stride(v, h, row_offset, col_offset)
     if v == 1 and h == 1:
         return img.copy()
     ranges = img.ranges[row_offset::v, col_offset::h].copy()
@@ -224,7 +254,8 @@ def lidar_distribution_match(
     """Resample a source-domain scene so its beam count, points per
     channel, and VFOV match the target sensor.
 
-    Composition: build_range_image -> downsample -> backproject. Labels are
+    Composition: build_range_image -> downsample -> backproject, where the
+    build rasterizes only the cells the strides keep. Labels are
     copied verbatim, even for boxes emptied of points. With random_stride
     the stride offsets are drawn per scene from rng (required then) for
     training diversity instead of always starting at index 0.
@@ -238,7 +269,8 @@ def lidar_distribution_match(
     if random_stride:
         row_offset = int(rng.integers(v))
         col_offset = int(rng.integers(h))
-    img = downsample_range_image(build_range_image(scene, src), v, h, row_offset, col_offset)
+    strides = (v, h, row_offset, col_offset)
+    img = downsample_range_image(build_range_image(scene, src, *strides), *strides)
     out = backproject(img, DomainTag.SOURCE)
     out.boxes = list(scene.boxes)
     return out

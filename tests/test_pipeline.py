@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -18,6 +20,7 @@ from lidarmix.pipeline import (
     run_targetmix_stage,
     seeded_rng,
 )
+from lidarmix.sector_mix import SectorParams
 from lidarmix.sensor import SensorSpec, lidar_distribution_match
 from lidarmix.synth import NoiseParams, synthesize_dataset
 
@@ -359,3 +362,24 @@ class TestPipelineConfig:
         twin = seeded_rng(2**63).random(4)
         assert np.array_equal(seeded_rng(-(2**63)).random(4), twin)
         assert seeded_rng(2**64 - 1).random() != seeded_rng(0).random()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: PipelineConfig(lam=math.nan), id="lam-nan"),
+            pytest.param(lambda: PipelineConfig(lam=math.inf), id="lam-inf"),
+            pytest.param(lambda: PipelineConfig(smooth_l1_knee=math.inf), id="knee-inf"),
+            pytest.param(lambda: PerturbationConfig(epsilon=math.inf), id="epsilon-inf"),
+            pytest.param(
+                lambda: PerturbationConfig(mode_weights=(math.nan, 0.5, 0.5)), id="weight-nan"
+            ),
+            pytest.param(lambda: SectorParams(max_width=math.inf), id="max-width-inf"),
+            pytest.param(lambda: SensorSpec(16, 64, -0.3, math.inf), id="vfov-max-inf"),
+            pytest.param(lambda: SensorSpec(16, 64, -math.inf, 0.1), id="vfov-min-inf"),
+        ],
+    )
+    def test_non_finite_floats_refused(self, build):
+        # parse_config refuses these in a file; built in code they used to
+        # pass, and lam=inf turned a zero consistency term into NaN
+        with pytest.raises(ValueError, match="finite"):
+            build()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import random_box, random_scene, reference_points_in_box
@@ -21,6 +21,47 @@ from lidarmix.sector_mix import (
 )
 
 HALF_PLANE = SectorMask(((0.0, math.pi),))
+
+
+def loop_contains(mask, azimuth):
+    """The per-sector membership loop that SectorMask.contains replaced:
+    reference for its one-pass form."""
+    az = np.asarray(azimuth, dtype=np.float64)
+    inside = np.zeros(az.shape, dtype=bool)
+    for start, width in mask.sectors:
+        inside |= np.mod(az - start, TWO_PI) < width
+    return inside
+
+
+# Azimuths where a membership test can round differently: both ends of the
+# circle, tiny values, and values a caller forgot to wrap.
+CIRCLE_EDGES = [0.0, -0.0, 5e-324, 1e-300, np.nextafter(TWO_PI, 0.0), TWO_PI, -1e-17, 7.0, -7.0]
+
+
+def edge_azimuths(mask):
+    """Each sector's start and end, wrapped and not, with their float
+    neighbours, plus CIRCLE_EDGES."""
+    values = list(CIRCLE_EDGES)
+    for start, width in mask.sectors:
+        for edge in (start, start + width, wrap_azimuth(start + width)):
+            values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    return np.array(values)
+
+
+@st.composite
+def sector_masks(draw):
+    """Masks of 1-4 sectors, each either touching the previous one's end
+    or after a gap; starts past 2pi wrap, so the last sector may wrap."""
+    start = draw(st.one_of(st.sampled_from(CIRCLE_EDGES[:5]), st.floats(0.0, TWO_PI)))
+    sectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.floats(1e-9, 2.5))
+        sectors.append((start, width))
+        start += width + draw(st.one_of(st.just(0.0), st.floats(5e-324, 1.0)))
+    try:
+        return SectorMask(tuple(sectors))
+    except ValueError:
+        reject()
 
 
 def small_box_at(azimuth, dist=10.0, size=0.5):
@@ -48,6 +89,28 @@ class TestSectorMask:
         assert mask.contains(6.2)
         assert mask.contains(0.3)
         assert not mask.contains(1.5)
+
+    def test_contains_named_edges_match_per_sector_loop(self):
+        mask = SectorMask(((1.0, 0.5), (6.0, 1.0)))  # the second wraps through 0
+        # each start is inside and each end, wrapped or not, outside
+        values = [1.0, 1.5, 6.0, 7.0, wrap_azimuth(7.0), np.nextafter(TWO_PI, 0.0), -1e-17, 0.0]
+        expected = loop_contains(mask, values)
+        assert expected.tolist() == [True, False, True, False, False, True, True, True]
+        assert np.array_equal(mask.contains(np.array(values)), expected)
+        for value, inside in zip(values, expected):
+            assert mask.contains(value) is bool(inside)
+        assert mask.contains(np.empty(0)).shape == (0,)
+
+    @given(sector_masks(), st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+    @settings(max_examples=500, deadline=None)
+    def test_contains_matches_per_sector_loop(self, mask, extra):
+        az = np.concatenate([edge_azimuths(mask), extra])
+        in_range = az[(az >= 0.0) & (az < TWO_PI)]
+        with np.errstate(invalid="ignore"):  # np.mod of inf
+            for values in (az, in_range):  # a mixed array and the in-range one-pass path
+                assert np.array_equal(mask.contains(values), loop_contains(mask, values))
+            for value in az.tolist():
+                assert mask.contains(value) is bool(loop_contains(mask, value))
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidarmix import sensor
 from lidarmix.geometry import DomainTag, Scene, spherical_from_xyz, xyz_from_spherical
 from lidarmix.sensor import (
     NUSCENES_32,
@@ -81,6 +85,75 @@ class TestBuildRangeImage:
     def test_empty_scene(self):
         img = build_range_image(Scene.empty(), SMALL)
         assert img.n_occupied == 0
+
+
+@st.composite
+def strided_cases(draw):
+    """A small grid, strides (v, h), and a scene of random points in and
+    around the VFOV plus the inputs a raster rounds at: a point whose
+    elevation is exactly vfov_max, azimuths next to 2pi, and repeated
+    points that tie for a cell at one range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels, width = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    # a stride longer than the grid would leave no row or column to keep
+    v, h = draw(st.integers(1, min(4, channels))), draw(st.integers(1, min(4, width)))
+    top = rng.uniform(-5.0, 5.0, size=(1, 3))
+    vfov_max = spherical_from_xyz(top)[0, 1]
+    spec = SensorSpec(channels, width, vfov_max - rng.uniform(0.05, 1.0), vfov_max)
+    n = draw(st.integers(0, 80))
+    aer = np.column_stack(
+        [
+            rng.uniform(0.0, 2 * math.pi, n),
+            rng.uniform(spec.vfov_min - 0.1, spec.vfov_max + 0.1, n),
+            rng.uniform(0.5, 50.0, n),
+        ]
+    )
+    z = 10.0 * math.tan(0.5 * (spec.vfov_min + spec.vfov_max))
+    near_two_pi = [[10.0, y, z] for y in (-1e-12, -1e-15, -1e-300, -0.0, 0.0)]
+    xyz = np.vstack([xyz_from_spherical(aer), top, near_two_pi])
+    repeats = rng.integers(0, len(xyz), size=draw(st.integers(0, 20)))
+    xyz = np.vstack([xyz, xyz[repeats]])
+    # distinct intensities, so the winner of a tied cell is identifiable
+    intensities = rng.permutation(len(xyz)) / len(xyz)
+    return Scene(np.column_stack([xyz, intensities])), spec, v, h
+
+
+class TestStridedBuild:
+    @given(strided_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_raster_at_every_offset(self, case):
+        scene, spec, v, h = case
+        full = build_range_image(scene, spec)
+        for row_offset in range(v):
+            for col_offset in range(h):
+                strided = build_range_image(scene, spec, v, h, row_offset, col_offset)
+                lattice = np.zeros(full.ranges.shape, dtype=bool)
+                lattice[row_offset::v, col_offset::h] = True
+                assert not strided.ranges[~lattice].any()
+                assert not strided.intensities[~lattice].any()
+                want = downsample_range_image(full, v, h, row_offset, col_offset)
+                got = downsample_range_image(strided, v, h, row_offset, col_offset)
+                assert got.spec == want.spec
+                assert got.ranges.tobytes() == want.ranges.tobytes()
+                assert got.intensities.tobytes() == want.intensities.tobytes()
+
+    @pytest.mark.parametrize("row_offset, col_offset", [(0, 0), (1, 1)])
+    def test_tied_range_keeps_first_point(self, row_offset, col_offset):
+        cell = all_cell_centers(SMALL).reshape(16, 64, 3)[row_offset, col_offset]
+        scene = scene_from_spherical([cell, cell, cell], intensities=[0.2, 0.8, 0.5])
+        img = build_range_image(scene, SMALL, 2, 2, row_offset, col_offset)
+        assert img.n_occupied == 1
+        assert img.intensities[row_offset, col_offset] == 0.2
+
+    @pytest.mark.parametrize(
+        "v, h, row_offset, col_offset", [(4, 2, 4, 0), (4, 2, 0, 2), (4, 2, -1, 0), (0, 1, 0, 0)]
+    )
+    def test_bad_strides_raise_like_downsample(self, v, h, row_offset, col_offset):
+        scene = scene_from_spherical(all_cell_centers(SMALL))
+        with pytest.raises(ValueError) as from_downsample:
+            downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset, col_offset)
+        with pytest.raises(ValueError, match=re.escape(str(from_downsample.value))):
+            build_range_image(scene, SMALL, v, h, row_offset, col_offset)
 
 
 class TestDownsampleFactors:
@@ -300,6 +373,33 @@ class TestDistributionMatch:
             scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(3), random_stride=True
         )
         assert np.array_equal(out1.points, out2.points)
+
+    def test_each_stage_called_once_on_the_whole_scene(self, rng, monkeypatch):
+        # The benchmark traces these three names, so matching must reach
+        # each of them: a stage it bypassed would read 0 there.
+        calls = {}
+        for name in ("build_range_image", "downsample_range_image", "backproject"):
+            stage = getattr(sensor, name)
+
+            def counted(*args, _name=name, _stage=stage, **kwargs):
+                calls.setdefault(_name, []).append(args)
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(sensor, name, counted)
+        scene = scene_from_spherical(all_cell_centers(WAYMO_64))
+        out = lidar_distribution_match(
+            scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(5), random_stride=True
+        )
+        assert {name: len(args) for name, args in calls.items()} == {
+            "build_range_image": 1,
+            "downsample_range_image": 1,
+            "backproject": 1,
+        }
+        (built_from, spec, *strides), = calls["build_range_image"]
+        assert built_from is scene and built_from.n_points == 64 * 2200
+        assert spec == WAYMO_64 and strides[:2] == [4, 2]
+        assert calls["downsample_range_image"][0][1:] == tuple(strides)
+        assert out.n_points == scene.n_points // 8
 
     def test_random_stride_requires_rng(self, rng):
         scene = scene_from_spherical([[0.5, 0.0, 10.0]])
