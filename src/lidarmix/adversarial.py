@@ -237,8 +237,20 @@ def consistency_loss(boxes_am: Sequence[Box3D], boxes_pm: Sequence[Box3D]) -> fl
         raise OneSidedEmpty(f"one prediction set is empty ({n_am} vs {n_pm} boxes)")
     a = _box_vectors(boxes_am)
     b = _box_vectors(boxes_pm)
-    dist = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-    return float((dist.min(axis=1).sum() + dist.min(axis=0).sum()) / (n_am + n_pm))
+    # Squared distance as the six per-coordinate squares added in order:
+    # the same sums, bit for bit, as an (A, B, 6) difference summed over
+    # its last axis, but with two (A, B) buffers instead of a 6-wide
+    # temporary.
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    diff = np.empty_like(sq)
+    for k in range(1, 6):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        sq += diff
+    # sqrt is monotone, so the root of each minimum is the minimum root.
+    nearest_am, nearest_pm = np.sqrt(sq.min(axis=1)), np.sqrt(sq.min(axis=0))
+    return float((nearest_am.sum() + nearest_pm.sum()) / (n_am + n_pm))
 
 
 def advmix_sample(

@@ -107,8 +107,17 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self):
-        fields = (self.cx, self.cy, self.cz, self.w, self.l, self.h, self.yaw)
-        if not all(math.isfinite(v) for v in fields):
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.cx)
+            and isfinite(self.cy)
+            and isfinite(self.cz)
+            and isfinite(self.w)
+            and isfinite(self.l)
+            and isfinite(self.h)
+            and isfinite(self.yaw)
+        ):
+            fields = (self.cx, self.cy, self.cz, self.w, self.l, self.h, self.yaw)
             raise ValueError(f"box fields must be finite, got {fields}")
         if not (self.w > 0 and self.l > 0 and self.h > 0):
             raise ValueError(f"box sizes must be positive, got {(self.w, self.l, self.h)}")

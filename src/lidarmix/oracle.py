@@ -44,12 +44,21 @@ def _component_labels(cells: np.ndarray, width: int) -> np.ndarray:
     """
     n = cells.size
     idx = np.arange(n)
-    src, dst = [], []
-    for offset in (1, width - 1, width, width + 1):
-        pos = np.minimum(np.searchsorted(cells, cells + offset), n - 1)
-        hit = cells[pos] == cells + offset
+    # E neighbours are adjacent keys: the guard column keeps key + 1 in
+    # the same row.
+    east = np.flatnonzero(cells[1:] - cells[:-1] == 1)
+    src, dst = [east], [east + 1]
+    # SW, S and SE keys (key + width - 1 .. key + width + 1) sit in the three
+    # sorted positions from the first key >= key + width - 1. The third is
+    # SE only when SW and S are both occupied, and then S joins SE through
+    # its E edge, so two positions suffice. Two keys past the last cell keep
+    # those positions in range and never match.
+    pos = np.searchsorted(cells, cells + (width - 1))
+    padded = np.concatenate((cells, np.full(2, cells[-1] + width + 2)))
+    for step in range(2):
+        hit = padded[pos + step] - cells <= width + 1
         src.append(idx[hit])
-        dst.append(pos[hit])
+        dst.append(pos[hit] + step)
     src, dst = np.concatenate(src), np.concatenate(dst)
     parent = idx.copy()
     while True:
@@ -87,6 +96,10 @@ class GridClusterOracle:
     smooth_l1_knee: float = 1.0
     min_box_size: float = 0.1
 
+    def __post_init__(self):
+        if not self.score_saturation > 0:
+            raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
+
     def predict(self, scene: Scene) -> list[Box3D]:
         if scene.n_points == 0:
             return []
@@ -107,18 +120,13 @@ class GridClusterOracle:
         keep = counts >= self.min_points
         mn, mx, counts = mn[keep], mx[keep], counts[keep]
         sizes = np.maximum(mx - mn, self.min_box_size)
-        centers = (mn + mx) / 2.0
+        scores = np.minimum(1.0, counts / self.score_saturation)
+        # One row per box in Box3D's field order: center, (w, l, h) = the
+        # (y, x, z) sizes, then the score.
+        rows = np.column_stack(((mn + mx) / 2.0, sizes[:, [1, 0, 2]], scores))
         return [
-            Box3D(
-                *center,
-                w=size[1],
-                l=size[0],
-                h=size[2],
-                yaw=0.0,
-                class_id=0,
-                score=min(1.0, count / self.score_saturation),
-            )
-            for center, size, count in zip(centers.tolist(), sizes.tolist(), counts.tolist())
+            Box3D(cx, cy, cz, w, l, h, 0.0, 0, score)
+            for cx, cy, cz, w, l, h, score in rows.tolist()
         ]
 
     def loss_and_gradient(

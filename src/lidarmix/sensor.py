@@ -21,7 +21,7 @@ from .geometry import (
     TWO_PI,
     DomainTag,
     Scene,
-    spherical_from_xyz,
+    wrap_azimuth,
     xyz_from_spherical,
 )
 
@@ -148,21 +148,28 @@ def build_range_image(
     img = RangeImage.empty(spec)
     if scene.n_points == 0:
         return img
-    aer = spherical_from_xyz(scene.xyz)
-    az, el, rng = aer[:, 0], aer[:, 1], aer[:, 2]
+    # The steps of spherical_from_xyz, elementwise and so bit for bit, but
+    # the azimuth is only computed for points in a kept row.
+    x, y, z = scene.points[:, 0], scene.points[:, 1], scene.points[:, 2]
+    horiz = np.hypot(x, y)
+    el = np.arctan2(z, horiz)
+    rng = np.hypot(horiz, z)
     valid = (rng > 0.0) & (el >= spec.vfov_min) & (el <= spec.vfov_max)
     if not valid.any():
         return img
-    az, el, rng = az[valid], el[valid], rng[valid]
-    inten = scene.intensities[valid]
+    kept = np.flatnonzero(valid)
     n_rows, n_cols = spec.channels, spec.points_per_channel
-    rows = np.floor((el - spec.vfov_min) / spec.span * n_rows).astype(np.intp)
+    rows = np.floor((el[kept] - spec.vfov_min) / spec.span * n_rows).astype(np.intp)
     rows[rows == n_rows] = n_rows - 1  # elevation exactly at vfov_max
+    if v > 1:
+        on_row = rows % v == row_offset
+        kept, rows = kept[on_row], rows[on_row]
+    az = wrap_azimuth(np.arctan2(y[kept], x[kept]))
     cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
-    if v > 1 or h > 1:
-        on_lattice = (rows % v == row_offset) & (cols % h == col_offset)
-        rows, cols = rows[on_lattice], cols[on_lattice]
-        rng, inten = rng[on_lattice], inten[on_lattice]
+    if h > 1:
+        on_col = cols % h == col_offset
+        kept, rows, cols = kept[on_col], rows[on_col], cols[on_col]
+    rng, inten = rng[kept], scene.intensities[kept]
     cells = rows * n_cols + cols
     # Sort by cell then range so the first entry per cell is the nearest;
     # the sort is stable, so a tied range keeps the earlier point first.

@@ -322,6 +322,27 @@ def _unit_box(cx, cy=0.0, cz=0.0, yaw=0.0, score=None):
     return Box3D(cx, cy, cz, w=1.5, l=1.5, h=1.5, yaw=yaw, score=score)
 
 
+def reference_consistency_loss(boxes_am, boxes_pm):
+    """Reference: the direct (A, B, 6) broadcast, summed over its last axis."""
+    a = np.array([[b.cx, b.cy, b.cz, b.w, b.l, b.h] for b in boxes_am])
+    b = np.array([[b.cx, b.cy, b.cz, b.w, b.l, b.h] for b in boxes_pm])
+    dist = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return float((dist.min(axis=1).sum() + dist.min(axis=0).sum()) / (len(a) + len(b)))
+
+
+@st.composite
+def box_sets(draw):
+    """1-60 boxes whose fields share one magnitude between 1e-3 and 1e4,
+    some repeated within the set."""
+    scale = draw(st.sampled_from([1e-3, 1e-2, 1.0, 37.5, 1e3, 1e4]))
+    coord = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale)
+    size = st.floats(0.01, 1.0).map(lambda v: v * scale)
+    fields = st.tuples(coord, coord, coord, size, size, size)
+    boxes = [Box3D(*f, yaw=0.0) for f in draw(st.lists(fields, min_size=1, max_size=60))]
+    repeats = draw(st.lists(st.integers(0, len(boxes) - 1), max_size=10))
+    return boxes + [boxes[i] for i in repeats]
+
+
 class TestConsistencyLoss:
     def test_identical_sets_zero(self, rng):
         boxes = [random_box(rng) for _ in range(4)]
@@ -363,6 +384,15 @@ class TestConsistencyLoss:
         lab = consistency_loss(a, b)
         assert lab >= 0.0
         assert lab == pytest.approx(consistency_loss(b, a), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_sets(), box_sets(), st.booleans())
+    def test_matches_broadcast_bitwise(self, boxes_am, boxes_pm, share):
+        if share:
+            boxes_pm = boxes_pm + boxes_am[: len(boxes_am) // 2 + 1]
+        assert consistency_loss(boxes_am, boxes_pm) == reference_consistency_loss(
+            boxes_am, boxes_pm
+        )
 
 
 class ScriptedStudent:

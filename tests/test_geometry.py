@@ -154,6 +154,14 @@ class TestBox3D:
         with pytest.raises(ValueError):
             Box3D(0, 0, 0, w=1, l=1, h=1, yaw=0, score=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["cx", "cy", "cz", "w", "l", "h", "yaw"])
+    def test_rejects_non_finite_field(self, field, value):
+        fields = dict(cx=1.0, cy=2.0, cz=3.0, w=1.0, l=2.0, h=3.0, yaw=0.5)
+        fields[field] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            Box3D(**fields)
+
     def test_yaw_normalized_on_construction(self):
         box = Box3D(0, 0, 0, w=1, l=1, h=1, yaw=3 * math.pi)
         assert box.yaw == pytest.approx(-math.pi)

@@ -74,6 +74,17 @@ class TestGridClusterOracle:
             Box3D(*((mn + mx) / 2.0), w=sizes[1], l=sizes[0], h=sizes[2], yaw=0.0, score=6 / 50)
         ]
 
+    def test_zero_min_box_size_flat_cell_still_rejected(self, rng):
+        xy = rng.uniform(0.1, 0.9, size=(8, 2)) + np.array([10.0, 0.0])
+        scene = Scene(np.column_stack([xy, np.zeros(8), np.zeros(8)]))  # one cell, all z = 0
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            GridClusterOracle(min_box_size=0.0).predict(scene)
+
+    @pytest.mark.parametrize("saturation", [0, -5])
+    def test_rejects_non_positive_score_saturation(self, saturation):
+        with pytest.raises(ValueError, match="score_saturation"):
+            GridClusterOracle(score_saturation=saturation)
+
     def test_run_full_survives_far_outlier(self):
         bundle = synthesize_dataset(0)
         scene = bundle.target_unlabeled[0]
@@ -134,6 +145,37 @@ def clouds(draw):
     return np.column_stack([xyz, np.zeros(len(xyz))])
 
 
+@st.composite
+def dense_clouds(draw):
+    """(N, 4) clouds with 2,000-6,000 points: uniform scatter, tight
+    clusters on a sparse background, or points on one x or y line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2000, 6000))
+    extent = draw(st.sampled_from([80.0, 40.0, 150.0]))
+    shape = draw(st.sampled_from(["scatter", "clusters", "x-line", "y-line"]))
+    xyz = rng.uniform(-extent, extent, size=(n, 3))
+    if shape == "clusters":
+        centres = rng.uniform(-extent, extent, size=(draw(st.integers(1, 40)), 3))
+        near = np.flatnonzero(rng.random(n) < 0.8)
+        picked = centres[rng.integers(0, len(centres), near.size)]
+        xyz[near] = picked + rng.normal(0.0, 0.6, (near.size, 3))
+    elif shape == "x-line":
+        xyz[:, 1] = xyz[0, 1]
+    elif shape == "y-line":
+        xyz[:, 0] = xyz[0, 0]
+    return np.column_stack([xyz, np.zeros(n)])
+
+
+def grid_scene(cells, per_cell):
+    """per_cell points spread along the diagonal of each (i, j) unit cell,
+    each at its own height."""
+    offsets = (np.arange(per_cell) + 0.5) / per_cell
+    xy = np.repeat(np.asarray(cells, dtype=float), per_cell, axis=0)
+    xy += np.tile(offsets, len(cells))[:, None]
+    z = np.arange(len(xy), dtype=float) * 0.01
+    return Scene(np.column_stack([xy, z, np.zeros(len(xy))]))
+
+
 class TestDenseGridEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(clouds(), st.sampled_from([0.25, 0.5, 0.7, 1.0, 2.0]), st.integers(1, 8))
@@ -148,3 +190,33 @@ class TestDenseGridEquivalence:
         bundle = synthesize_dataset(1)
         for scene in bundle.source + bundle.target_labeled + bundle.target_unlabeled:
             assert oracle.predict(scene) == reference_predict(oracle, scene)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_clouds(), st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.integers(1, 8))
+    def test_dense_clouds(self, points, cell_size, min_points):
+        oracle = GridClusterOracle(cell_size=cell_size, min_points=min_points)
+        scene = Scene(points)
+        assert oracle.predict(scene) == reference_predict(oracle, scene)
+
+    # Cells whose SW/S/SE search runs past the last sorted key, and grids
+    # one row or one column (width 3) wide.
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)], id="last-row-full"),
+            pytest.param([(0, 0), (0, 3), (2, 0), (2, 1), (2, 2), (2, 3)], id="last-row-apart"),
+            pytest.param([(0, 0), (1, 1)], id="se-only-last"),
+            pytest.param([(0, 0), (0, 5), (1, 1)], id="se-only-last-past-gap"),
+            pytest.param([(0, 2), (0, 4), (1, 5)], id="se-only-last-row-end"),
+            pytest.param([(0, 1), (1, 0)], id="sw-only-last"),
+            pytest.param([(0, 1), (1, 0), (1, 2)], id="sw-and-se-last"),
+            pytest.param([(0, 0), (0, 1), (0, 2), (0, 4), (0, 5), (0, 9)], id="one-row"),
+            pytest.param([(0, 0), (1, 0), (2, 0), (4, 0), (6, 0), (7, 0)], id="one-column"),
+            pytest.param([(0, 0)], id="one-cell"),
+        ],
+    )
+    @pytest.mark.parametrize("per_cell", [1, 3])
+    def test_neighbour_search_corners(self, cells, per_cell):
+        oracle = GridClusterOracle(min_points=1)
+        scene = grid_scene(cells, per_cell)
+        assert oracle.predict(scene) == reference_predict(oracle, scene)
