@@ -44,7 +44,6 @@ from .pipeline import (
     run_targetmix_stage,
 )
 from .sector_mix import (
-    DegenerateAzimuth,
     SectorMask,
     SectorPackingFailed,
     SectorParams,

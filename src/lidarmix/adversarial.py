@@ -44,9 +44,6 @@ class GradientField:
             raise ValueError("gradient field contains non-finite entries")
         self.grads = g
 
-    def __len__(self) -> int:
-        return self.grads.shape[0]
-
 
 @dataclass(frozen=True)
 class PerturbationConfig:
@@ -104,8 +101,8 @@ def surrogate_loss(
     boxes = list(boxes)
     if not boxes:
         raise EmptyBoxList("surrogate loss needs at least one box")
-    if not knee > 0:
-        raise ValueError(f"knee must be > 0, got {knee}")
+    if not 0.0 < knee < math.inf:
+        raise ValueError(f"knee must be finite and > 0, got {knee}")
     grads = np.zeros((scene.n_points, 3))
     total = 0.0
     indptr, indices = assign_points(scene.xyz, boxes)

@@ -52,8 +52,7 @@ def normalize_yaw(yaw):
     if type(yaw) is float and -math.pi <= yaw < math.pi:
         return yaw
     in_range = np.logical_and(np.greater_equal(yaw, -math.pi), np.less(yaw, math.pi))
-    wrapped = np.mod(np.asarray(yaw, dtype=np.float64) + math.pi, TWO_PI) - math.pi
-    wrapped = np.where(wrapped >= math.pi, -math.pi, wrapped)
+    wrapped = wrap_azimuth(np.asarray(yaw, dtype=np.float64) + math.pi) - math.pi
     out = np.where(in_range, yaw, wrapped)
     if np.ndim(yaw) == 0:
         return float(out)
@@ -171,9 +170,6 @@ class Scene:
     @property
     def intensities(self) -> np.ndarray:
         return self.points[:, 3]
-
-    def copy(self) -> "Scene":
-        return Scene(self.points.copy(), list(self.boxes), self.domain_tag, self.pseudo_labeled)
 
     @classmethod
     def empty(cls, domain_tag: DomainTag = DomainTag.SOURCE) -> "Scene":

@@ -11,24 +11,21 @@ Real detectors plug in through the same contract.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .adversarial import GradientField, surrogate_loss
+from .adversarial import GradientField, GradientProvider, surrogate_loss
 from .geometry import Box3D, Scene
 
 
-class DetectorOracle(Protocol):
+class DetectorOracle(GradientProvider, Protocol):
     """Prediction plus loss/gradient evaluation over scenes. Read-only by
     construction, so a frozen teacher cannot drift during stage 2."""
 
     def predict(self, scene: Scene) -> list[Box3D]: ...
-
-    def loss_and_gradient(
-        self, scene: Scene, boxes: Sequence[Box3D]
-    ) -> tuple[float, GradientField]: ...
 
 
 def _component_labels(cells: np.ndarray, width: int) -> np.ndarray:
@@ -97,6 +94,8 @@ class GridClusterOracle:
     min_box_size: float = 0.1
 
     def __post_init__(self):
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
         if not self.score_saturation > 0:
             raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
 

@@ -139,11 +139,18 @@ def _detection_loss(oracle: DetectorOracle, scene: Scene) -> float:
     return float(loss)
 
 
-def _log_epoch(stage: str, stats: EpochStats) -> None:
+def _close_epoch(
+    report: StageReport, stats: EpochStats, det_losses: list, total_losses: list
+) -> None:
+    """Set the epoch's mixed fraction and mean losses, then append and log it."""
+    stats.mixed_fraction = stats.mixed_scenes / stats.scenes_processed
+    stats.mean_detection_loss = float(np.mean(det_losses))
+    stats.mean_total_loss = float(np.mean(total_losses))
+    report.epochs.append(stats)
     logger.info(
         "stage=%s epoch=%d scenes=%d mixed=%.3f det_loss=%.6f cons_loss=%.6f "
         "perturbed=%d added=%d removed=%d",
-        stage,
+        report.stage,
         stats.epoch,
         stats.scenes_processed,
         stats.mixed_fraction,
@@ -202,11 +209,7 @@ def run_targetmix_stage(
             losses.append(_detection_loss(oracle, scene))
             stats.scenes_processed += 1
             stats.points_total += scene.n_points
-        stats.mixed_fraction = stats.mixed_scenes / stats.scenes_processed
-        stats.mean_detection_loss = float(np.mean(losses))
-        stats.mean_total_loss = stats.mean_detection_loss
-        report.epochs.append(stats)
-        _log_epoch("targetmix", stats)
+        _close_epoch(report, stats, losses, losses)
     return report
 
 
@@ -296,14 +299,10 @@ def run_advmix_stage(
                 stats.consistency_skipped += 1
                 total_losses.append(det)
             stats.scenes_processed += 1
-        stats.mixed_fraction = stats.mixed_scenes / stats.scenes_processed
-        stats.mean_detection_loss = float(np.mean(det_losses))
-        stats.mean_total_loss = float(np.mean(total_losses))
         if cons_values:
             stats.mean_consistency_loss = float(np.mean(cons_values))
             stats.consistency_samples = len(cons_values)
-        report.epochs.append(stats)
-        _log_epoch("advmix", stats)
+        _close_epoch(report, stats, det_losses, total_losses)
     return report
 
 

@@ -31,10 +31,6 @@ class SectorPackingFailed(RuntimeError):
     """Disjoint sector placement could not be found."""
 
 
-class DegenerateAzimuth(ValueError):
-    """Box center too close to the z-axis for a meaningful azimuth."""
-
-
 # Box centers closer than this to the z-axis have no meaningful azimuth.
 _Z_AXIS_TOLERANCE = 1e-6
 
@@ -93,10 +89,6 @@ class SectorMask:
         starts, widths = zip(*sorted(wrapped))
         object.__setattr__(self, "_starts", np.array(starts))
         object.__setattr__(self, "_widths", np.array(widths))
-
-    @property
-    def k(self) -> int:
-        return len(self.sectors)
 
     def contains(self, azimuth):
         """Whether azimuth(s) fall inside any sector, in one pass.
@@ -176,10 +168,7 @@ def boxes_cross_boundary(boxes: Sequence[Box3D], mask: SectorMask) -> np.ndarray
 
 def box_crosses_boundary(box: Box3D, mask: SectorMask) -> bool:
     """Whether a sector edge cuts the box: the one-box call of
-    `boxes_cross_boundary`. Raises DegenerateAzimuth for a box centred on
-    the z-axis, which the batched test counts as cut."""
-    if math.hypot(box.cx, box.cy) < _Z_AXIS_TOLERANCE:
-        raise DegenerateAzimuth(f"box center ({box.cx}, {box.cy}) sits on the z-axis")
+    `boxes_cross_boundary`, so a box centred on the z-axis counts as cut."""
     return bool(boxes_cross_boundary([box], mask)[0])
 
 

@@ -94,17 +94,6 @@ class RangeImage:
             )
 
     @property
-    def height(self) -> int:
-        return self.ranges.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ranges.shape[1]
-
-    def occupancy(self) -> np.ndarray:
-        return self.ranges > 0.0
-
-    @property
     def n_occupied(self) -> int:
         return int(np.count_nonzero(self.ranges > 0.0))
 
@@ -244,7 +233,7 @@ def backproject(img: RangeImage, domain_tag: DomainTag = DomainTag.SOURCE) -> Sc
         return Scene.empty(domain_tag)
     spec = img.spec
     el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
-    az = (cols + 0.5) * (TWO_PI / img.width)
+    az = (cols + 0.5) * spec.col_pitch
     rng = img.ranges[rows, cols]
     xyz = xyz_from_spherical(np.column_stack([az, el, rng]))
     pts = np.column_stack([xyz, img.intensities[rows, cols]])

@@ -30,10 +30,12 @@ class NoiseParams:
     def __post_init__(self):
         if self.ground_points < 0:
             raise ValueError("ground_points must be >= 0")
-        if not 0.0 < self.range_min < self.range_max:
-            raise ValueError("need 0 < range_min < range_max")
-        if self.cluster_points_min < 20:
-            raise ValueError("clusters must have at least 20 points")
+        if not 0.0 < self.range_min < self.range_max < math.inf:
+            raise ValueError("need finite 0 < range_min < range_max")
+        if not math.isfinite(self.sensor_height):
+            raise ValueError(f"sensor_height must be finite, got {self.sensor_height}")
+        if not 20 <= self.cluster_points_min <= self.cluster_points_max:
+            raise ValueError("need 20 <= cluster_points_min <= cluster_points_max")
 
 
 def _ground_returns(rng: np.random.Generator, spec: SensorSpec, noise: NoiseParams) -> np.ndarray:

@@ -35,6 +35,13 @@ class TestSurrogateLoss:
         with pytest.raises(EmptyBoxList):
             surrogate_loss(Scene.empty(), [])
 
+    @pytest.mark.parametrize("knee", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_knee_not_finite_positive(self, knee):
+        box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.0)
+        scene = Scene(np.array([[5.4, 0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="knee must be finite and > 0"):
+            surrogate_loss(scene, [box], knee)
+
     def test_symmetric_points_zero_loss(self):
         box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.3)
         offsets = np.array([[0.4, 0.1, -0.2], [-0.4, -0.1, 0.2]])

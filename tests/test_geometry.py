@@ -145,6 +145,67 @@ class TestYawNormalization:
             assert struct.pack("<d", fast) == struct.pack("<d", via_array)
 
 
+def own_wrap_normalize_yaw(yaw):
+    """normalize_yaw as it was with its own np.mod and fold, before its
+    out-of-range branch went through wrap_azimuth."""
+    if type(yaw) is float and -math.pi <= yaw < math.pi:
+        return yaw
+    in_range = np.logical_and(np.greater_equal(yaw, -math.pi), np.less(yaw, math.pi))
+    wrapped = np.mod(np.asarray(yaw, dtype=np.float64) + math.pi, TWO_PI) - math.pi
+    wrapped = np.where(wrapped >= math.pi, -math.pi, wrapped)
+    out = np.where(in_range, yaw, wrapped)
+    if np.ndim(yaw) == 0:
+        return float(out)
+    return out
+
+
+YAW_EDGES = [
+    *(math.nextafter(k * math.pi, d) for k in range(-8, 9) for d in (-math.inf, math.inf)),
+    *(k * math.pi for k in range(-8, 9)),
+    1e300,
+    -1e300,
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestYawFoldMatchesOwnWrap:
+    """normalize_yaw's wrap through wrap_azimuth against the np.mod and
+    fold it replaced, bit for bit."""
+
+    @settings(max_examples=500)
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(YAW_EDGES))
+    def test_scalar_inputs(self, yaw):
+        for value in (yaw, np.float64(yaw), np.array(yaw)):
+            got, want = normalize_yaw(value), own_wrap_normalize_yaw(value)
+            assert type(got) is type(want)
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(YAW_EDGES)))
+    def test_array_inputs(self, yaws):
+        yaws = np.array(yaws, dtype=np.float64)
+        assert _same_bits(normalize_yaw(yaws), own_wrap_normalize_yaw(yaws))
+
+    def test_edges_and_random_yaws(self, rng):
+        yaws = np.concatenate(
+            [
+                YAW_EDGES,
+                rng.uniform(-20.0, 20.0, 100_000),
+                rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.uniform(-300, 300, 100_000),
+            ]
+        )
+        assert _same_bits(normalize_yaw(yaws), own_wrap_normalize_yaw(yaws))
+        grid = yaws[: yaws.size // 3 * 3].reshape(-1, 3)
+        assert _same_bits(normalize_yaw(grid), own_wrap_normalize_yaw(grid))
+
+
 class TestBox3D:
     def test_rejects_non_positive_sizes(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,20 @@ class TestGridClusterOracle:
         with pytest.raises(ValueError, match="score_saturation"):
             GridClusterOracle(score_saturation=saturation)
 
+    @pytest.mark.parametrize("cell_size", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_cell_size_not_finite_positive(self, cell_size):
+        # such a grid used to bin a whole scene into one ~108 m box
+        with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
+            GridClusterOracle(cell_size=cell_size)
+
+    def test_infinite_knee_is_refused(self):
+        # an infinite knee used to give loss 0 and a zero gradient, so every
+        # perturbation through this oracle was a silent no-op
+        box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.0)
+        scene = Scene(np.array([[5.4, 0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="knee must be finite and > 0"):
+            GridClusterOracle(smooth_l1_knee=np.inf).loss_and_gradient(scene, [box])
+
     def test_run_full_survives_far_outlier(self):
         bundle = synthesize_dataset(0)
         scene = bundle.target_unlabeled[0]

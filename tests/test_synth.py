@@ -41,6 +41,30 @@ class TestSynthesizeScene:
             synthesize_scene(rng, -1, WAYMO_64)
 
 
+class TestNoiseParams:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"range_max": np.inf},
+            {"sensor_height": np.inf},
+            {"sensor_height": -np.inf},
+            {"sensor_height": np.nan},
+            {"cluster_points_min": 40, "cluster_points_max": 39},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            NoiseParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"ground_points": 0}, {"ground_points": 5000}, {"cluster_points_max": 35}]
+    )
+    def test_accepts_valid_values(self, rng, kwargs):
+        noise = NoiseParams(**kwargs)
+        scene = synthesize_scene(rng, 2, NUSCENES_32, noise)
+        assert np.isfinite(scene.points).all()
+
+
 class TestSynthesizeDataset:
     def test_role_counts_and_tags(self):
         bundle = synthesize_dataset(1, n_source=3, n_labeled=2, n_unlabeled=4)
