@@ -96,6 +96,8 @@ class GridClusterOracle:
     def __post_init__(self):
         if not 0.0 < self.cell_size < math.inf:
             raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
+        if not 0.0 < self.smooth_l1_knee < math.inf:
+            raise ValueError(f"smooth_l1_knee must be finite and > 0, got {self.smooth_l1_knee}")
         if not self.score_saturation > 0:
             raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
 

@@ -86,29 +86,21 @@ class SectorMask:
         if not _sectors_disjoint(wrapped):
             raise ValueError("sectors overlap after wrapping")
         object.__setattr__(self, "sectors", tuple(wrapped))
-        starts, widths = zip(*sorted(wrapped))
-        object.__setattr__(self, "_starts", np.array(starts))
-        object.__setattr__(self, "_widths", np.array(widths))
 
     def contains(self, azimuth):
-        """Whether azimuth(s) fall inside any sector, in one pass.
-
-        An azimuth in [0, 2pi) can only be inside the sector that starts
-        last at or before it or, before every start, inside the last sector,
-        the only one that can wrap past 2pi: the disjointness test above
-        rules out every other sector, in float arithmetic too. Its offset
-        from that start, plus 2pi when negative, is np.mod(az - start, 2pi)
-        bit for bit. Azimuths outside [0, 2pi) take that np.mod against
-        every sector.
-        """
+        """Whether azimuth(s) fall inside any sector. On [0, 2pi) the offset
+        az - start, plus 2pi where negative, is np.mod(az - start, 2pi) bit
+        for bit; any other input takes np.mod."""
         az = np.asarray(azimuth, dtype=np.float64)
-        starts, widths = self._starts, self._widths
-        if az.size and 0.0 <= az.min() and az.max() < TWO_PI:
-            pick = np.searchsorted(starts, az, side="right") - 1  # -1: the last sector
-            offset = az - starts[pick]
-            inside = np.where(offset < 0.0, offset + TWO_PI, offset) < widths[pick]
-        else:
-            inside = (np.mod(az[..., None] - starts, TWO_PI) < widths).any(axis=-1)
+        on_circle = az.size and 0.0 <= az.min() and az.max() < TWO_PI
+        inside = np.zeros(az.shape, dtype=bool)
+        for start, width in self.sectors:
+            offset = az - start
+            if on_circle:
+                offset = np.where(offset < 0.0, offset + TWO_PI, offset)
+            else:
+                offset = np.mod(offset, TWO_PI)
+            inside |= offset < width
         if np.ndim(azimuth) == 0:
             return bool(inside)
         return inside

@@ -1,10 +1,10 @@
 """LiDAR distribution matching between sensors.
 
-A scan is rasterized into a range image on the source sensor's grid,
-downsampled by integer strides derived from the channel / points-per-channel
-/ VFOV ratios of the two sensors, and back-projected to Cartesian points.
-Only the lattice cells the strides keep are rasterized: points in any other
-row or column are dropped before the per-cell nearest-range sort.
+A scan is rasterized into a range image and back-projected to Cartesian
+points. Integer strides derived from the channel / points-per-channel /
+VFOV ratios of the two sensors pick the lattice of source cells to keep:
+the build rasterizes points in those cells straight onto the target-size
+grid and drops every other point before the per-cell nearest-range sort.
 The chain adjusts beam count, points per channel, and vertical field of
 view so a source-domain scan statistically matches a target sensor.
 """
@@ -102,15 +102,24 @@ class RangeImage:
         shape = (spec.channels, spec.points_per_channel)
         return cls(np.zeros(shape), np.zeros(shape), spec)
 
-    def copy(self) -> "RangeImage":
-        return RangeImage(self.ranges.copy(), self.intensities.copy(), self.spec)
-
 
 def _check_stride(v: int, h: int, row_offset: int, col_offset: int) -> None:
     if v < 1 or h < 1:
         raise ValueError(f"stride factors must be >= 1, got ({v}, {h})")
     if not (0 <= row_offset < v and 0 <= col_offset < h):
         raise ValueError(f"offsets ({row_offset}, {col_offset}) out of range for ({v}, {h})")
+
+
+def _lattice_spec(spec: SensorSpec, v: int, h: int, row_offset: int, col_offset: int) -> SensorSpec:
+    """The grid of spec's rows == row_offset (mod v) and cols == col_offset
+    (mod h), its VFOV shifted so the new (fatter) cells are centered exactly
+    on the kept source rows, whose elevations backprojection reproduces."""
+    if v == 1 and h == 1:
+        return spec
+    n_rows = len(range(row_offset, spec.channels, v))
+    n_cols = len(range(col_offset, spec.points_per_channel, h))
+    vfov_min = spec.vfov_min + (row_offset + 0.5 * (1 - v)) * spec.row_pitch
+    return SensorSpec(n_rows, n_cols, vfov_min, vfov_min + n_rows * v * spec.row_pitch)
 
 
 def build_range_image(
@@ -127,39 +136,32 @@ def build_range_image(
     discarded; when several points fall into one cell the nearest range
     wins, ties going to the earlier point, modeling first-return behavior.
 
-    With strides (v, h), only the lattice cells that
-    `downsample_range_image(img, v, h, row_offset, col_offset)` keeps are
-    rasterized: points in any other row or column are dropped before the
-    per-cell sort, and those cells stay empty. The image keeps the full
-    grid, and its kept cells are bit-identical to the unstrided build's.
+    With strides (v, h), points off the kept rows and columns are dropped
+    before the per-cell sort and the rest land straight on the lattice grid:
+    the image is bit for bit `downsample_range_image` of the unstrided one.
     """
     _check_stride(v, h, row_offset, col_offset)
-    img = RangeImage.empty(spec)
-    if scene.n_points == 0:
-        return img
+    img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset, col_offset))
     # The steps of spherical_from_xyz, elementwise and so bit for bit, but
     # the azimuth is only computed for points in a kept row.
     x, y, z = scene.points[:, 0], scene.points[:, 1], scene.points[:, 2]
     horiz = np.hypot(x, y)
     el = np.arctan2(z, horiz)
     rng = np.hypot(horiz, z)
-    valid = (rng > 0.0) & (el >= spec.vfov_min) & (el <= spec.vfov_max)
-    if not valid.any():
-        return img
-    kept = np.flatnonzero(valid)
+    kept = np.flatnonzero((rng > 0.0) & (el >= spec.vfov_min) & (el <= spec.vfov_max))
     n_rows, n_cols = spec.channels, spec.points_per_channel
     rows = np.floor((el[kept] - spec.vfov_min) / spec.span * n_rows).astype(np.intp)
     rows[rows == n_rows] = n_rows - 1  # elevation exactly at vfov_max
     if v > 1:
         on_row = rows % v == row_offset
-        kept, rows = kept[on_row], rows[on_row]
+        kept, rows = kept[on_row], rows[on_row] // v
     az = wrap_azimuth(np.arctan2(y[kept], x[kept]))
     cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
     if h > 1:
         on_col = cols % h == col_offset
-        kept, rows, cols = kept[on_col], rows[on_col], cols[on_col]
+        kept, rows, cols = kept[on_col], rows[on_col], cols[on_col] // h
     rng, inten = rng[kept], scene.intensities[kept]
-    cells = rows * n_cols + cols
+    cells = rows * img.spec.points_per_channel + cols
     # Sort by cell then range so the first entry per cell is the nearest;
     # the sort is stable, so a tied range keeps the earlier point first.
     order = np.lexsort((rng, cells))
@@ -207,21 +209,13 @@ def downsample_range_image(
 ) -> RangeImage:
     """Keep rows == row_offset (mod v) and cols == col_offset (mod h).
 
-    Retained cells are copied bit-identically. The output spec's VFOV is
-    shifted so the new (fatter) cells are centered exactly on the retained
-    source rows; backprojection then reproduces the retained beams'
-    elevations.
+    Retained cells are copied bit-identically onto the lattice grid, whose
+    cells are centered on the retained source rows (see _lattice_spec).
     """
     _check_stride(v, h, row_offset, col_offset)
-    if v == 1 and h == 1:
-        return img.copy()
     ranges = img.ranges[row_offset::v, col_offset::h].copy()
     intensities = img.intensities[row_offset::v, col_offset::h].copy()
-    h2, w2 = ranges.shape
-    pitch = img.spec.row_pitch
-    new_vmin = img.spec.vfov_min + (row_offset + 0.5 * (1 - v)) * pitch
-    new_vmax = new_vmin + h2 * v * pitch
-    return RangeImage(ranges, intensities, SensorSpec(h2, w2, new_vmin, new_vmax))
+    return RangeImage(ranges, intensities, _lattice_spec(img.spec, v, h, row_offset, col_offset))
 
 
 def backproject(img: RangeImage, domain_tag: DomainTag = DomainTag.SOURCE) -> Scene:
@@ -229,8 +223,6 @@ def backproject(img: RangeImage, domain_tag: DomainTag = DomainTag.SOURCE) -> Sc
     elevation with the stored range and intensity. Boxes are the caller's
     business."""
     rows, cols = np.nonzero(img.ranges > 0.0)
-    if rows.size == 0:
-        return Scene.empty(domain_tag)
     spec = img.spec
     el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
     az = (cols + 0.5) * spec.col_pitch
@@ -250,9 +242,9 @@ def lidar_distribution_match(
     """Resample a source-domain scene so its beam count, points per
     channel, and VFOV match the target sensor.
 
-    Composition: build_range_image -> downsample -> backproject, where the
-    build rasterizes only the cells the strides keep. Labels are
-    copied verbatim, even for boxes emptied of points. With random_stride
+    Composition: build_range_image -> backproject, where the strided build
+    writes straight onto the target-size lattice. Labels are copied
+    verbatim, even for boxes emptied of points. With random_stride
     the stride offsets are drawn per scene from rng (required then) for
     training diversity instead of always starting at index 0.
     """
@@ -265,8 +257,6 @@ def lidar_distribution_match(
     if random_stride:
         row_offset = int(rng.integers(v))
         col_offset = int(rng.integers(h))
-    strides = (v, h, row_offset, col_offset)
-    img = downsample_range_image(build_range_image(scene, src, *strides), *strides)
-    out = backproject(img, DomainTag.SOURCE)
+    out = backproject(build_range_image(scene, src, v, h, row_offset, col_offset))
     out.boxes = list(scene.boxes)
     return out

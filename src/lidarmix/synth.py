@@ -114,6 +114,11 @@ def synthesize_dataset(
     Unlabeled scenes are generated with objects but shipped without boxes;
     pseudo-labeling is the pipeline's job.
     """
+    for name, count in (("n_source", n_source), ("n_labeled", n_labeled), ("n_unlabeled", n_unlabeled)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    if max_objects < 1:
+        raise ValueError(f"max_objects must be >= 1, got {max_objects}")
     rng = seeded_rng(seed, 17)
 
     def make(count, spec, tag, keep_boxes):

@@ -68,6 +68,17 @@ class TestSynth:
         assert (tmp_path / "notes.txt").read_text() == "kept\n"
         assert len(list((tmp_path / "target_unlabeled").glob("*.bin"))) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--sources", "-1", "n_source"), ("--labeled", "-1", "n_labeled"),
+         ("--unlabeled", "-1", "n_unlabeled"), ("--objects", "0", "max_objects")],
+    )
+    def test_bad_count_is_validation_error(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "m"
+        assert run("synth", "--out", str(out), flag, value) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMatch:
     def test_identical_specs_collision_only(self, manifest, tmp_path):

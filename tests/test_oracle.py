@@ -91,6 +91,13 @@ class TestGridClusterOracle:
         with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
             GridClusterOracle(cell_size=cell_size)
 
+    @pytest.mark.parametrize("knee", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_knee_not_finite_positive(self, knee):
+        # refused at construction, so run_full cannot match every source
+        # scene before the first loss evaluation fails
+        with pytest.raises(ValueError, match="knee must be finite and > 0"):
+            GridClusterOracle(smooth_l1_knee=knee)
+
     def test_infinite_knee_is_refused(self):
         # an infinite knee used to give loss 0 and a zero gradient, so every
         # perturbation through this oracle was a silent no-op

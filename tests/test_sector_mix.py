@@ -106,7 +106,7 @@ class TestSectorMask:
         az = np.concatenate([edge_azimuths(mask), extra])
         in_range = az[(az >= 0.0) & (az < TWO_PI)]
         with np.errstate(invalid="ignore"):  # np.mod of inf
-            for values in (az, in_range):  # a mixed array and the in-range one-pass path
+            for values in (az, in_range):  # a mixed array and the in-range path
                 assert np.array_equal(mask.contains(values), loop_contains(mask, values))
             for value in az.tolist():
                 assert mask.contains(value) is bool(loop_contains(mask, value))

@@ -126,13 +126,8 @@ class TestStridedBuild:
         full = build_range_image(scene, spec)
         for row_offset in range(v):
             for col_offset in range(h):
-                strided = build_range_image(scene, spec, v, h, row_offset, col_offset)
-                lattice = np.zeros(full.ranges.shape, dtype=bool)
-                lattice[row_offset::v, col_offset::h] = True
-                assert not strided.ranges[~lattice].any()
-                assert not strided.intensities[~lattice].any()
+                got = build_range_image(scene, spec, v, h, row_offset, col_offset)
                 want = downsample_range_image(full, v, h, row_offset, col_offset)
-                got = downsample_range_image(strided, v, h, row_offset, col_offset)
                 assert got.spec == want.spec
                 assert got.ranges.tobytes() == want.ranges.tobytes()
                 assert got.intensities.tobytes() == want.intensities.tobytes()
@@ -143,7 +138,7 @@ class TestStridedBuild:
         scene = scene_from_spherical([cell, cell, cell], intensities=[0.2, 0.8, 0.5])
         img = build_range_image(scene, SMALL, 2, 2, row_offset, col_offset)
         assert img.n_occupied == 1
-        assert img.intensities[row_offset, col_offset] == 0.2
+        assert img.intensities[0, 0] == 0.2  # lattice cell of source cell (ro, co)
 
     @pytest.mark.parametrize(
         "v, h, row_offset, col_offset", [(4, 2, 4, 0), (4, 2, 0, 2), (4, 2, -1, 0), (0, 1, 0, 0)]
@@ -376,31 +371,48 @@ class TestDistributionMatch:
         assert np.array_equal(out1.points, out2.points)
 
     def test_each_stage_called_once_on_the_whole_scene(self, rng, monkeypatch):
-        # The benchmark traces these three names, so matching must reach
-        # each of them: a stage it bypassed would read 0 there.
+        # Matching is build -> backproject. downsample_range_image is off
+        # the path, so the benchmark trace entry of that name reads 0, and
+        # a stage matching bypassed would read 0 in its entry too.
         calls = {}
         for name in ("build_range_image", "downsample_range_image", "backproject"):
             stage = getattr(sensor, name)
 
             def counted(*args, _name=name, _stage=stage, **kwargs):
-                calls.setdefault(_name, []).append(args)
-                return _stage(*args, **kwargs)
+                result = _stage(*args, **kwargs)
+                calls.setdefault(_name, []).append((args, result))
+                return result
 
             monkeypatch.setattr(sensor, name, counted)
         scene = scene_from_spherical(all_cell_centers(WAYMO_64))
         out = lidar_distribution_match(
             scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(5), random_stride=True
         )
-        assert {name: len(args) for name, args in calls.items()} == {
+        assert {name: len(c) for name, c in calls.items()} == {
             "build_range_image": 1,
-            "downsample_range_image": 1,
             "backproject": 1,
         }
-        (built_from, spec, *strides), = calls["build_range_image"]
+        ((built_from, spec, *strides), built), = calls["build_range_image"]
         assert built_from is scene and built_from.n_points == 64 * 2200
         assert spec == WAYMO_64 and strides[:2] == [4, 2]
-        assert calls["downsample_range_image"][0][1:] == tuple(strides)
+        assert 0 <= strides[2] < 4 and 0 <= strides[3] < 2
+        ((projected, *_), _), = calls["backproject"]
+        assert projected is built
         assert out.n_points == scene.n_points // 8
+
+    def test_builds_no_source_size_grid(self, monkeypatch):
+        shapes = []
+        post_init = RangeImage.__post_init__
+
+        def recorded(img):
+            shapes.append(img.ranges.shape)
+            post_init(img)
+
+        monkeypatch.setattr(RangeImage, "__post_init__", recorded)
+        scene = scene_from_spherical(all_cell_centers(WAYMO_64))
+        out = lidar_distribution_match(scene, WAYMO_64, NUSCENES_32)
+        assert out.n_points == scene.n_points // 8
+        assert shapes == [(16, 1100)]
 
     def test_random_stride_requires_rng(self, rng):
         scene = scene_from_spherical([[0.5, 0.0, 10.0]])

@@ -86,3 +86,14 @@ class TestSynthesizeDataset:
         for sa, sb in zip(a.source + a.target_labeled, b.source + b.target_labeled):
             assert np.array_equal(sa.points, sb.points)
             assert sa.boxes == sb.boxes
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_source", -1), ("n_labeled", -1), ("n_unlabeled", -2), ("max_objects", 0)]
+    )
+    def test_rejects_negative_counts_and_no_objects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            synthesize_dataset(0, **{name: value})
+
+    def test_zero_role_counts_are_valid(self):
+        bundle = synthesize_dataset(0, n_source=0, n_labeled=0, n_unlabeled=0)
+        assert bundle.source == bundle.target_labeled == bundle.target_unlabeled == []
