@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene, assign_points
+from .geometry import Box3D, DomainTag, Scene, _assign_local, assign_points
 
 
 class EmptyBoxList(ValueError):
@@ -30,9 +30,12 @@ class OneSidedEmpty(ValueError):
 @dataclass
 class GradientField:
     """Per-point gradients of a detection loss with respect to point
-    coordinates, aligned index-for-index with a scene's points."""
+    coordinates, aligned index-for-index with a scene's points. members,
+    if given, is `assign_points(scene.xyz, boxes)` for the boxes the loss
+    was taken against, which `adversarial_perturb_detailed` then reuses."""
 
     grads: np.ndarray
+    members: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grads, dtype=np.float64)
@@ -72,7 +75,8 @@ class PerturbationConfig:
 
 class GradientProvider(Protocol):
     """Anything that evaluates a detection loss and its exact per-point
-    coordinate gradient on a scene against a box list."""
+    coordinate gradient on a scene against a box list. A field without
+    `members` costs the perturbation one more point-to-box pass, same bits."""
 
     def loss_and_gradient(
         self, scene: Scene, boxes: Sequence[Box3D]
@@ -95,8 +99,9 @@ def surrogate_loss(
     its distance to the box center is penalized with smooth-L1; the loss is
     the mean over boxes (empty boxes contribute 0). The returned field is
     the exact gradient with respect to each point's world coordinates,
-    zero for points outside every box. The in-box points of all boxes come
-    from one `assign_points` pass.
+    zero for points outside every box. The in-box points of all boxes and
+    their box-frame coordinates come from one `assign_points` pass, whose
+    `(indptr, indices)` the field returns as `members`.
     """
     boxes = list(boxes)
     if not boxes:
@@ -105,23 +110,21 @@ def surrogate_loss(
         raise ValueError(f"knee must be finite and > 0, got {knee}")
     grads = np.zeros((scene.n_points, 3))
     total = 0.0
-    indptr, indices = assign_points(scene.xyz, boxes)
+    indptr, indices, local = _assign_local(scene.xyz, boxes)
     for box, start, stop in zip(boxes, indptr[:-1].tolist(), indptr[1:].tolist()):
         if stop == start:
             continue
         idx = indices[start:stop]
-        rot = box.rotation()
-        local = (scene.xyz[idx] - box.center()) @ rot
-        centroid = local.mean(axis=0)
+        centroid = local[start:stop].mean(axis=0)
         r = float(np.linalg.norm(centroid))
         value, slope = _smooth_l1(r, knee)
         total += value
         if r > 0.0:
             # d(loss)/d(centroid), then chain through the mean and rotation.
             u = (slope / r) * centroid
-            grads[idx] += (u / idx.size) @ rot.T
+            grads[idx] += (u / idx.size) @ box.rotation().T
     n = len(boxes)
-    return total / n, GradientField(grads / n)
+    return total / n, GradientField(grads / n, (indptr, indices))
 
 
 def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:
@@ -170,38 +173,37 @@ def adversarial_perturb_detailed(
     boxes = list(pseudo_boxes)
     outcome = PerturbOutcome()
     if not boxes or scene.n_points == 0:
-        out = Scene(scene.points.copy(), boxes, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
-        return out, outcome
+        return Scene(scene.points.copy(), boxes, DomainTag.TARGET_UNLABELED, True), outcome
 
     _, field = provider.loss_and_gradient(scene, boxes)
-    delta = perturbation_delta(field, cfg.epsilon)
-
-    candidates = np.unique(assign_points(scene.xyz, boxes)[1])
+    members = field.members or assign_points(scene.xyz, boxes)
+    if len(members[0]) != len(boxes) + 1:
+        raise ValueError(f"members have {len(members[0])} indptr entries for {len(boxes)} boxes")
+    candidates = np.unique(members[1])
     outcome.candidates = int(candidates.size)
-    selected = candidates[rng.random(candidates.size) < cfg.rho]
+    # perturbation_delta works row by row, so the candidate rows suffice.
+    delta = perturbation_delta(GradientField(field.grads[candidates]), cfg.epsilon)
+    picked = rng.random(candidates.size) < cfg.rho
+    selected, step = candidates[picked], delta[picked]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)
 
-    moving = delta[selected].any(axis=1)
-    translate = selected[(modes == 0) & moving]
-    add = selected[(modes == 1) & moving]
-    remove = selected[modes == 2]
+    moving = step.any(axis=1)
+    is_translate, is_add = (modes == 0) & moving, (modes == 1) & moving
+    translate, add, remove = selected[is_translate], selected[is_add], selected[modes == 2]
     outcome.translated, outcome.added, outcome.removed = translate.size, add.size, remove.size
-    moved = delta[np.concatenate([translate, add])]
+    moved = np.concatenate([step[is_translate], step[is_add]])
     if moved.size:
         # row @ column takes the same BLAS dot as np.linalg.norm of one row
         norms = np.sqrt((moved[:, None, :] @ moved[:, :, None]).ravel())
         outcome.max_norm_deviation = float(np.abs(norms - cfg.epsilon).max())
 
     pts = scene.points.copy()
-    pts[translate, :3] += delta[translate]
+    pts[translate, :3] += step[is_translate]
     added = scene.points[add]
-    added[:, :3] += delta[add]
+    added[:, :3] += step[is_add]
     keep = np.ones(scene.n_points, dtype=bool)
     keep[remove] = False
-    out = Scene(
-        np.vstack([pts[keep], added]), boxes, DomainTag.TARGET_UNLABELED, pseudo_labeled=True
-    )
-    return out, outcome
+    return Scene(np.vstack([pts[keep], added]), boxes, DomainTag.TARGET_UNLABELED, True), outcome
 
 
 def point_mixup(a: Scene, b: Scene) -> Scene:

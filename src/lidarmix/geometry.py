@@ -46,6 +46,16 @@ def wrap_azimuth(angle):
     return a
 
 
+def _azimuth(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`wrap_azimuth(np.arctan2(y, x))` of arrays, bit for bit: on [-pi, pi]
+    np.mod adds 2pi to a negative angle and turns -0.0 into +0.0, as adding
+    2pi or 0.0 does. A sum that rounds up to 2pi is folded to 0 as before."""
+    a = np.arctan2(y, x)
+    a += (a < 0.0) * TWO_PI
+    a[a >= TWO_PI] = 0.0
+    return a
+
+
 def normalize_yaw(yaw):
     """Wrap heading(s) into [-pi, pi). Idempotent: in-range values pass
     through bit-identical."""
@@ -66,7 +76,7 @@ def spherical_from_xyz(xyz: np.ndarray) -> np.ndarray:
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     horiz = np.hypot(x, y)
-    az = wrap_azimuth(np.arctan2(y, x))
+    az = _azimuth(y, x)
     el = np.arctan2(z, horiz)
     rng = np.hypot(horiz, z)
     return np.column_stack([az, el, rng])
@@ -212,9 +222,15 @@ def assign_points(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, 
     rotation` with `abs(local) <= half_sizes`, one product per box, whose
     rows equal those of the full-cloud product bit for bit.
     """
+    return _assign_local(xyz, boxes)[:2]
+
+
+def _assign_local(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
+    """`assign_points` plus the members' box-frame coordinates `(xyz[i] -
+    center) @ rotation`, an (M, 3) array in the order of `indices`."""
     n, n_boxes = xyz.shape[0], len(boxes)
     if n == 0 or n_boxes == 0:
-        return np.zeros(n_boxes + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return np.zeros(n_boxes + 1, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, 3))
     circles = []
     for b in boxes:
         r = 0.5 * math.hypot(b.l, b.w)
@@ -240,7 +256,7 @@ def assign_points(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, 
         np.matmul(offset[start:stop], rotations[b], out=local[start:stop])
     ok = np.abs(local) <= half[owner]
     inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
-    return np.searchsorted(owner[inside], np.arange(n_boxes + 1)), rows[inside]
+    return np.searchsorted(owner[inside], np.arange(n_boxes + 1)), rows[inside], local[inside]
 
 
 def points_in_box(scene: Scene, box: Box3D) -> np.ndarray:

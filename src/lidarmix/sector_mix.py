@@ -20,6 +20,7 @@ from .geometry import (
     Box3D,
     DomainTag,
     Scene,
+    _azimuth,
     assign_points,
     box_corners,
     box_frames,
@@ -146,7 +147,7 @@ def boxes_cross_boundary(boxes: Sequence[Box3D], mask: SectorMask) -> np.ndarray
     origin = ((-centers)[:, None, :] @ rotations)[:, 0, :2]
     over_origin = np.all(np.abs(origin) <= half[:, :2], axis=1)
     corners = box_corners(centers, rotations, half)
-    az = np.sort(wrap_azimuth(np.arctan2(corners[..., 1], corners[..., 0])), axis=1)
+    az = np.sort(_azimuth(corners[..., 1], corners[..., 0]), axis=1)
     # Shortest covering arc: it starts after the widest gap between corners.
     gaps = np.diff(az, axis=1, append=az[:, :1] + TWO_PI)
     widest = np.argmax(gaps, axis=1)
@@ -174,7 +175,7 @@ def enhanced_filter(scene: Scene, mask: SectorMask, keep_inside: bool) -> Scene:
     """
     boxes = scene.boxes
     cut = boxes_cross_boundary(boxes, mask).tolist()
-    az = wrap_azimuth(np.arctan2(scene.points[:, 1], scene.points[:, 0]))
+    az = _azimuth(scene.points[:, 1], scene.points[:, 0])
     keep = mask.contains(az) == keep_inside
     crossing = [b for b, c in zip(boxes, cut) if c]
     if crossing:

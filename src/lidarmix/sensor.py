@@ -21,7 +21,7 @@ from .geometry import (
     TWO_PI,
     DomainTag,
     Scene,
-    wrap_azimuth,
+    _azimuth,
     xyz_from_spherical,
 )
 
@@ -155,7 +155,7 @@ def build_range_image(
     if v > 1:
         on_row = rows % v == row_offset
         kept, rows = kept[on_row], rows[on_row] // v
-    az = wrap_azimuth(np.arctan2(y[kept], x[kept]))
+    az = _azimuth(y[kept], x[kept])
     cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
     if h > 1:
         on_col = cols % h == col_offset

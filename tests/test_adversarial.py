@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cluster_scene, random_box, reference_points_in_box
+from lidarmix import adversarial, geometry
 from lidarmix.adversarial import (
     EmptyBoxList,
     GradientField,
@@ -19,6 +20,7 @@ from lidarmix.adversarial import (
 )
 from lidarmix.geometry import Box3D, DomainTag, Scene, points_in_box
 from lidarmix.gradcheck import gradient_relative_error, make_gradcheck_fixture
+from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import PipelineConfig, run_advmix_stage
 
 
@@ -145,6 +147,27 @@ class TestPerturbationDelta:
         with pytest.raises(ValueError):
             perturbation_delta(GradientField(np.zeros((1, 3))), 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 5e-324])] * 3)
+            | st.just((0.0, 0.0, 0.0)),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+        epsilon=st.floats(1e-6, 10.0),
+    )
+    def test_row_subset_matches_full_field(self, rows, data, epsilon):
+        # the rows of the full-field delta, byte for byte, zero rows included
+        g = np.array(rows)
+        subset = np.array(
+            data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows))), dtype=np.intp
+        )
+        part = perturbation_delta(GradientField(g[subset]), epsilon)
+        full = perturbation_delta(GradientField(g), epsilon)
+        assert part.tobytes() == full[subset].tobytes()
+
     def test_default_hyperparameters(self):
         cfg = PerturbationConfig()
         assert cfg.epsilon == 0.001
@@ -171,6 +194,27 @@ class ZeroingProvider(SurrogateProvider):
         grads = field.grads.copy()
         grads[self.zero_rows] = 0.0
         return loss, GradientField(grads)
+
+
+class MembersLessProvider:
+    """A two-argument provider that knows nothing of box members: the
+    oracle's gradient, handed over without them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = self.inner.loss_and_gradient(scene, boxes)
+        return loss, GradientField(field.grads)
+
+
+class ShortMembersProvider(SurrogateProvider):
+    """Surrogate loss whose members miss the last box."""
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = super().loss_and_gradient(scene, boxes)
+        indptr, indices = field.members
+        return loss, GradientField(field.grads, (indptr[:-1], indices))
 
 
 def reference_perturb(scene, boxes, provider, cfg, rng):
@@ -268,22 +312,71 @@ class TestAdversarialPerturb:
             scene = cluster_scene(rng, centers, n_per=int(rng.integers(5, 40)))
             outside = np.column_stack([rng.uniform(30, 40, (10, 3)), rng.uniform(0, 1, 10)])
             bare = Scene(np.vstack([scene.points, outside]), [], DomainTag.TARGET_UNLABELED)
-            # in-box rows (among others) with a zero gradient
-            provider = ZeroingProvider(rng.random(bare.n_points) < 0.3)
             cfg = PerturbationConfig(
                 epsilon=float(rng.uniform(1e-4, 0.5)),
                 rho=float(rng.uniform(0.2, 1.0)),
                 mode_weights=tuple(rng.dirichlet(np.ones(3))),
             )
+            providers = (
+                # members-less: in-box rows (among others) with a zero gradient
+                ZeroingProvider(rng.random(bare.n_points) < 0.3),
+                # the field carries the loss's own box members
+                SurrogateProvider(),
+            )
+            for provider in providers:
+                out, outcome = adversarial_perturb_detailed(
+                    bare, scene.boxes, provider, cfg, np.random.default_rng(seed + 1000)
+                )
+                ref_points, ref_outcome = reference_perturb(
+                    bare, scene.boxes, provider, cfg, np.random.default_rng(seed + 1000)
+                )
+                assert np.array_equal(out.points, ref_points)
+                assert outcome == ref_outcome
+                assert out.boxes == scene.boxes
+
+    def test_one_assignment_pass(self, rng, monkeypatch):
+        # the oracle's loss assigns the points; the perturbation reuses them
+        calls = []
+        inner = geometry._assign_local
+
+        def counted(xyz, boxes):
+            calls.append(len(boxes))
+            return inner(xyz, boxes)
+
+        monkeypatch.setattr(geometry, "_assign_local", counted)
+        monkeypatch.setattr(adversarial, "_assign_local", counted)
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0), (-9, -9, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        adversarial_perturb_detailed(
+            bare, scene.boxes, GridClusterOracle(), PerturbationConfig(rho=0.7), rng
+        )
+        assert calls == [3]
+
+    def test_members_less_provider_gives_same_bits(self):
+        oracle = GridClusterOracle()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            centers = [(rng.uniform(5, 15), rng.uniform(-5, 5), 0.0) for _ in range(3)]
+            scene = cluster_scene(rng, centers, n_per=int(rng.integers(5, 40)))
+            bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+            boxes = oracle.predict(scene) + scene.boxes
+            cfg = PerturbationConfig(rho=float(rng.uniform(0.2, 1.0)))
             out, outcome = adversarial_perturb_detailed(
-                bare, scene.boxes, provider, cfg, np.random.default_rng(seed + 1000)
+                bare, boxes, oracle, cfg, np.random.default_rng(seed)
             )
-            ref_points, ref_outcome = reference_perturb(
-                bare, scene.boxes, provider, cfg, np.random.default_rng(seed + 1000)
+            stub_out, stub_outcome = adversarial_perturb_detailed(
+                bare, boxes, MembersLessProvider(oracle), cfg, np.random.default_rng(seed)
             )
-            assert np.array_equal(out.points, ref_points)
-            assert outcome == ref_outcome
-            assert out.boxes == scene.boxes
+            assert out.points.tobytes() == stub_out.points.tobytes()
+            assert outcome == stub_outcome
+
+    def test_rejects_members_for_other_boxes(self, rng):
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0), (-9, -9, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        with pytest.raises(ValueError, match=r"\b3 indptr entries for 3 boxes"):
+            adversarial_perturb_detailed(
+                bare, scene.boxes, ShortMembersProvider(), PerturbationConfig(), rng
+            )
 
     def test_no_boxes_is_noop(self, rng):
         scene = cluster_scene(rng, [(10, 0, 0)])

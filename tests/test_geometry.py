@@ -106,6 +106,39 @@ class TestSphericalConversion:
         assert struct.pack("<d", wrap_azimuth(-0.0)) == struct.pack("<d", 0.0)
 
 
+# Coordinates whose arctan2 hits the edges of the azimuth wrap: signed
+# zeros, infinities, NaN, subnormals, and tiny negatives whose sum with 2pi
+# rounds up to 2pi.
+_AZIMUTH_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -1e-300, -1e-17, -2.0**-60,
+    1.0, -1.0, 1e300, -1e300,
+]
+
+
+class TestAzimuthHelper:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats() | st.sampled_from(_AZIMUTH_EDGES),
+                st.floats() | st.sampled_from(_AZIMUTH_EDGES),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_wrap_of_arctan2(self, pairs):
+        yx = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        y, x = yx[:, 0], yx[:, 1]
+        assert geometry._azimuth(y, x).tobytes() == wrap_azimuth(np.arctan2(y, x)).tobytes()
+
+    def test_edges_byte_for_byte(self):
+        y, x = np.array([(y, x) for y in _AZIMUTH_EDGES for x in _AZIMUTH_EDGES]).T
+        assert geometry._azimuth(y, x).tobytes() == wrap_azimuth(np.arctan2(y, x)).tobytes()
+        # the two rounding edges the fold exists for, and the signed zero
+        folded = geometry._azimuth(np.array([-1e-17, -5e-324, -0.0]), np.ones(3))
+        assert folded.tobytes() == np.zeros(3).tobytes()
+
+
 class TestYawNormalization:
     @given(st.floats(-1e6, 1e6))
     def test_idempotent(self, yaw):
@@ -343,8 +376,14 @@ class TestAssignPoints:
         assert indptr.dtype == np.intp and indices.dtype == np.intp
         assert indptr.shape == (len(boxes) + 1,)
         assert indptr[0] == 0 and indptr[-1] == indices.size
+        _, _, local = geometry._assign_local(xyz, boxes)
+        assert local.shape == (indices.size, 3)
         for b, box in enumerate(boxes):
-            assert np.array_equal(indices[indptr[b] : indptr[b + 1]], reference_points_in_box(xyz, box))
+            members = indices[indptr[b] : indptr[b + 1]]
+            assert np.array_equal(members, reference_points_in_box(xyz, box))
+            # box-frame coordinates as a product over this box's members alone
+            want = (xyz[members] - box.center()) @ box.rotation()
+            assert local[indptr[b] : indptr[b + 1]].tobytes() == want.tobytes()
 
     def test_empty_cloud(self, rng):
         boxes = [random_box(rng) for _ in range(3)]
