@@ -20,6 +20,7 @@ from .adversarial import (
 )
 from .geometry import (
     Box3D,
+    BoxSet,
     DomainTag,
     NonPositiveScale,
     Scene,

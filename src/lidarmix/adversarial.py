@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene, _assign_local, assign_points
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _assign_local, assign_points
 
 
 class EmptyBoxList(ValueError):
@@ -83,13 +83,6 @@ class GradientProvider(Protocol):
     ) -> tuple[float, GradientField]: ...
 
 
-def _smooth_l1(r: float, knee: float) -> tuple[float, float]:
-    """Value and derivative of the smooth-L1 penalty at radius r."""
-    if r < knee:
-        return 0.5 * r * r / knee, r / knee
-    return r - 0.5 * knee, 1.0
-
-
 def surrogate_loss(
     scene: Scene, boxes: Sequence[Box3D], knee: float = 1.0
 ) -> tuple[float, GradientField]:
@@ -103,26 +96,32 @@ def surrogate_loss(
     their box-frame coordinates come from one `assign_points` pass, whose
     `(indptr, indices)` the field returns as `members`.
     """
-    boxes = list(boxes)
-    if not boxes:
+    boxes = BoxSet.of(boxes)
+    if not len(boxes):
         raise EmptyBoxList("surrogate loss needs at least one box")
     if not 0.0 < knee < math.inf:
         raise ValueError(f"knee must be finite and > 0, got {knee}")
     grads = np.zeros((scene.n_points, 3))
     total = 0.0
     indptr, indices, local = _assign_local(scene.xyz, boxes)
-    for box, start, stop in zip(boxes, indptr[:-1].tolist(), indptr[1:].tolist()):
+    bounds = indptr.tolist()
+    for rotation, start, stop in zip(boxes.frames()[1], bounds, bounds[1:]):
         if stop == start:
             continue
-        idx = indices[start:stop]
-        centroid = local[start:stop].mean(axis=0)
-        r = float(np.linalg.norm(centroid))
-        value, slope = _smooth_l1(r, knee)
-        total += value
+        # add.reduce / n is .mean(axis=0), and the dot is np.linalg.norm's,
+        # bit for bit, without their Python overhead.
+        centroid = np.add.reduce(local[start:stop]) / (stop - start)
+        r = math.sqrt(centroid @ centroid)
+        if r < knee:
+            total += 0.5 * r * r / knee
+            slope = r / knee
+        else:
+            total += r - 0.5 * knee
+            slope = 1.0
         if r > 0.0:
             # d(loss)/d(centroid), then chain through the mean and rotation.
             u = (slope / r) * centroid
-            grads[idx] += (u / idx.size) @ box.rotation().T
+            grads[indices[start:stop]] += (u / (stop - start)) @ rotation.T
     n = len(boxes)
     return total / n, GradientField(grads / n, (indptr, indices))
 
@@ -170,9 +169,9 @@ def adversarial_perturb_detailed(
     """
     if scene.domain_tag is not DomainTag.TARGET_UNLABELED:
         raise ValueError(f"expected a TARGET_UNLABELED scene, got {scene.domain_tag}")
-    boxes = list(pseudo_boxes)
+    boxes = BoxSet.of(pseudo_boxes)
     outcome = PerturbOutcome()
-    if not boxes or scene.n_points == 0:
+    if not len(boxes) or scene.n_points == 0:
         return Scene(scene.points.copy(), boxes, DomainTag.TARGET_UNLABELED, True), outcome
 
     _, field = provider.loss_and_gradient(scene, boxes)
@@ -217,10 +216,6 @@ def point_mixup(a: Scene, b: Scene) -> Scene:
     return Scene(points, a.boxes + b.boxes, DomainTag.MIXED, a.pseudo_labeled or b.pseudo_labeled)
 
 
-def _box_vectors(boxes: Sequence[Box3D]) -> np.ndarray:
-    return np.array([[b.cx, b.cy, b.cz, b.w, b.l, b.h] for b in boxes])
-
-
 def consistency_loss(boxes_am: Sequence[Box3D], boxes_pm: Sequence[Box3D]) -> float:
     """Bidirectional nearest-box distance between two prediction sets.
 
@@ -234,8 +229,7 @@ def consistency_loss(boxes_am: Sequence[Box3D], boxes_pm: Sequence[Box3D]) -> fl
         return 0.0
     if n_am == 0 or n_pm == 0:
         raise OneSidedEmpty(f"one prediction set is empty ({n_am} vs {n_pm} boxes)")
-    a = _box_vectors(boxes_am)
-    b = _box_vectors(boxes_pm)
+    a, b = BoxSet.of(boxes_am).data, BoxSet.of(boxes_pm).data
     # Squared distance as the six per-coordinate squares added in order:
     # the same sums, bit for bit, as an (A, B, 6) difference summed over
     # its last axis, but with two (A, B) buffers instead of a 6-wide

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,8 @@ def _azimuth(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def normalize_yaw(yaw):
     """Wrap heading(s) into [-pi, pi). Idempotent: in-range values pass
     through bit-identical."""
-    if type(yaw) is float and -math.pi <= yaw < math.pi:
-        return yaw
+    if type(yaw) is float:
+        return yaw if -math.pi <= yaw < math.pi else wrap_azimuth(yaw + math.pi) - math.pi
     in_range = np.logical_and(np.greater_equal(yaw, -math.pi), np.less(yaw, math.pi))
     wrapped = wrap_azimuth(np.asarray(yaw, dtype=np.float64) + math.pi) - math.pi
     out = np.where(in_range, yaw, wrapped)
@@ -116,22 +116,16 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self):
-        isfinite = math.isfinite
-        if not (
-            isfinite(self.cx)
-            and isfinite(self.cy)
-            and isfinite(self.cz)
-            and isfinite(self.w)
-            and isfinite(self.l)
-            and isfinite(self.h)
-            and isfinite(self.yaw)
-        ):
-            fields = (self.cx, self.cy, self.cz, self.w, self.l, self.h, self.yaw)
+        fields = (self.cx, self.cy, self.cz, self.w, self.l, self.h, self.yaw)
+        if not all(map(math.isfinite, fields)):
             raise ValueError(f"box fields must be finite, got {fields}")
         if not (self.w > 0 and self.l > 0 and self.h > 0):
             raise ValueError(f"box sizes must be positive, got {(self.w, self.l, self.h)}")
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {self.score}")
+        c = self.class_id
+        if not (type(c) is int or isinstance(c, np.integer)) or not -_MAX_CLASS_ID <= c <= _MAX_CLASS_ID:
+            raise ValueError(f"class id must be an integer of magnitude at most 2**53, got {c!r}")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
     def center(self) -> np.ndarray:
@@ -147,27 +141,191 @@ class Box3D:
 
     def corners(self) -> np.ndarray:
         """The 8 corners in world frame, shape (8, 3)."""
-        return box_corners(*box_frames([self]))[0]
+        return BoxSet.of([self]).corners()[0]
 
 
-@dataclass
+# Box centers closer than this to the z-axis have no meaningful azimuth.
+_Z_AXIS_TOLERANCE = 1e-6
+
+# Every integer up to this magnitude is exact in a float64 column.
+_MAX_CLASS_ID = 2**53
+
+# Corner offsets of a box in units of its half sizes, x' outermost.
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: a BoxSet hands out its cached arrays."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _box(row: list) -> Box3D:
+    """The Box3D of one BoxSet row, checked by Box3D itself."""
+    *fields, class_id, score = row
+    class_id = int(class_id) if class_id.is_integer() else class_id
+    return Box3D(*fields, class_id, None if math.isnan(score) else score)
+
+
+def _validate(data: np.ndarray) -> None:
+    """Raise Box3D's ValueError for the first row that Box3D refuses, then
+    wrap the yaws in place if one lies outside [-pi, pi)."""
+    if not len(data):
+        return
+    lo, hi = data.min(axis=0).tolist(), data.max(axis=0).tolist()
+    scores = lo[8], hi[8]
+    if math.isnan(lo[8]):  # some scores are missing: the range of the others
+        scores = np.fmin.reduce(data[:, 8]), np.fmax.reduce(data[:, 8])
+    if not (
+        all(map(math.isfinite, lo[:8] + hi[:8]))
+        and min(lo[3:6]) > 0.0
+        and not (scores[0] < 0.0 or scores[1] > 1.0)
+        and -_MAX_CLASS_ID <= lo[7] <= hi[7] <= _MAX_CLASS_ID
+        and (lo[7] == hi[7] and lo[7].is_integer() or not np.mod(data[:, 7], 1.0).any())
+    ):
+        for row in data.tolist():
+            _box(row)
+    if not -math.pi <= lo[6] <= hi[6] < math.pi:
+        data[:, 6] = list(map(normalize_yaw, data[:, 6].tolist()))
+
+
+class BoxSet(Sequence):
+    """An immutable sequence of boxes held as one read-only (K, 9) float64
+    array `data` with the columns cx, cy, cz, w, l, h, yaw, class_id and
+    score; a missing score is NaN, which Box3D never holds.
+
+    Rows are checked as Box3D checks its fields, in one vectorised pass, and
+    out-of-range yaws are wrapped as Box3D wraps them. Subsets and `+` reuse
+    rows that are valid already. An int index and iteration yield Box3Ds; a
+    slice, mask or index array yields a BoxSet. `==` against a BoxSet or a
+    list of Box3Ds is one bool.
+    """
+
+    __slots__ = ("data", "_frames", "_azimuths")
+    __hash__ = None
+
+    def __init__(self, rows=()):
+        data = np.array(rows, dtype=np.float64)
+        if data.size == 0:
+            data = data.reshape(0, 9)
+        if data.ndim != 2 or data.shape[1] != 9:
+            raise ValueError(f"box rows must have shape (K, 9), got {data.shape}")
+        _validate(data)
+        data.flags.writeable = False
+        self.data, self._frames, self._azimuths = data, None, None
+
+    @classmethod
+    def _trusted(cls, data: np.ndarray) -> "BoxSet":
+        """The set of rows that are known to be valid, without checks."""
+        boxes = object.__new__(cls)
+        data.flags.writeable = False
+        boxes.data, boxes._frames, boxes._azimuths = data, None, None
+        return boxes
+
+    @classmethod
+    def of(cls, boxes: Sequence[Box3D]) -> "BoxSet":
+        """boxes itself if it is a BoxSet, else the set of its Box3Ds, whose
+        fields Box3D has checked already."""
+        if type(boxes) is cls:
+            return boxes
+        if len(boxes) == 0:
+            return _NO_BOXES
+        rows = [(b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw, b.class_id, b.score) for b in boxes]
+        return cls._trusted(np.array(rows, dtype=np.float64))  # a None score becomes NaN
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return _box(self.data[key].tolist())
+        return BoxSet._trusted(self.data[key])
+
+    def __iter__(self):
+        return map(_box, self.data.tolist())
+
+    def __add__(self, other: Sequence[Box3D]) -> "BoxSet":
+        return BoxSet._trusted(np.concatenate((self.data, BoxSet.of(other).data)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
+        return isinstance(other, BoxSet) and np.array_equal(self.data, other.data, equal_nan=True)
+
+    def __repr__(self) -> str:
+        return f"BoxSet({list(self)!r})"
+
+    def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each box's `center()` (K, 3), `rotation()` (K, 3, 3) and
+        `half_sizes()` (K, 3), computed on the first call only."""
+        if self._frames is None:
+            rotations = np.array([_rotation_rows(yaw) for yaw in self.data[:, 6].tolist()])
+            half = self.data[:, [4, 3, 5]] / 2.0
+            self._frames = _read_only(self.data[:, :3], rotations.reshape(-1, 3, 3), half)
+        return self._frames
+
+    def corners(self) -> np.ndarray:
+        """The 8 world-frame corners of every box, shape (K, 8, 3)."""
+        centers, rotations, half = self.frames()
+        return centers[:, None, :] + (_CORNER_SIGNS * half[:, None, :]) @ rotations.transpose(0, 2, 1)
+
+    def azimuths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per box, the azimuth of its center, the shortest azimuth arc
+        (start, width) covering its corners, and whether it spans every
+        azimuth: its footprint reaches over the sensor origin, or its center
+        is on the z-axis and has no azimuth. Computed on the first call only."""
+        if self._azimuths is None:
+            xy = self.data[:, :2].tolist()
+            # libm per box: np.arctan2 and np.hypot can differ from it in the last bit.
+            center = wrap_azimuth(np.array([math.atan2(cy, cx) for cx, cy in xy]))
+            on_axis = np.array([math.hypot(cx, cy) < _Z_AXIS_TOLERANCE for cx, cy in xy], dtype=bool)
+            centers, rotations, half = self.frames()
+            origin = ((-centers)[:, None, :] @ rotations)[:, 0, :2]
+            over_origin = np.all(np.abs(origin) <= half[:, :2], axis=1)
+            corners = self.corners()
+            az = np.sort(_azimuth(corners[..., 1], corners[..., 0]), axis=1)
+            # Shortest covering arc: it starts after the widest gap between corners.
+            gaps = np.diff(az, axis=1, append=az[:, :1] + TWO_PI)
+            widest = np.argmax(gaps, axis=1)
+            rows = np.arange(len(az))
+            start, width = az[rows, (widest + 1) % 8], TWO_PI - gaps[rows, widest]
+            self._azimuths = _read_only(center, start, width, on_axis | over_origin)
+        return self._azimuths
+
+
+_NO_BOXES = BoxSet()
+
+
 class Scene:
     """One LiDAR sample: an (N, 4) float64 array of (x, y, z, intensity)
-    rows plus zero or more box labels."""
+    rows plus its box labels. `boxes` is always a BoxSet: a sequence of
+    Box3Ds given at construction or assigned later is converted once."""
 
-    points: np.ndarray
-    boxes: list[Box3D] = field(default_factory=list)
-    domain_tag: DomainTag = DomainTag.SOURCE
-    pseudo_labeled: bool = False
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+    def __init__(
+        self,
+        points: np.ndarray,
+        boxes: Sequence[Box3D] = (),
+        domain_tag: DomainTag = DomainTag.SOURCE,
+        pseudo_labeled: bool = False,
+    ):
+        pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, 4)
         if pts.ndim != 2 or pts.shape[1] != 4:
             raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
-        self.points = pts
-        self.boxes = list(self.boxes)
+        self.points, self._boxes = pts, BoxSet.of(boxes)
+        self.domain_tag, self.pseudo_labeled = domain_tag, pseudo_labeled
+
+    @property
+    def boxes(self) -> BoxSet:
+        return self._boxes
+
+    @boxes.setter
+    def boxes(self, boxes: Sequence[Box3D]) -> None:
+        self._boxes = BoxSet.of(boxes)
 
     @property
     def n_points(self) -> int:
@@ -191,26 +349,6 @@ class Scene:
 _PREFILTER_CELLS = 1 << 16
 
 
-def box_frames(boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked `center()` (B, 3), `rotation()` (B, 3, 3) and `half_sizes()`
-    (B, 3) of each box."""
-    rows = np.array([(b.cx, b.cy, b.cz, b.l / 2.0, b.w / 2.0, b.h / 2.0) for b in boxes])
-    rotations = np.array([_rotation_rows(b.yaw) for b in boxes])
-    return rows[:, :3], rotations, rows[:, 3:]
-
-
-# Corner offsets of a box in units of its half sizes, x' outermost.
-_CORNER_SIGNS = np.array(
-    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
-)
-
-
-def box_corners(centers: np.ndarray, rotations: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """The 8 world-frame corners (B, 8, 3) of the boxes whose `box_frames`
-    are given."""
-    return centers[:, None, :] + (_CORNER_SIGNS * half[:, None, :]) @ rotations.transpose(0, 2, 1)
-
-
 def assign_points(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
     """Members of every box in one pass, boundary inclusive, in CSR form:
     `indices[indptr[b]:indptr[b + 1]]` are the ascending rows of the (N, 3)
@@ -228,15 +366,14 @@ def assign_points(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, 
 def _assign_local(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
     """`assign_points` plus the members' box-frame coordinates `(xyz[i] -
     center) @ rotation`, an (M, 3) array in the order of `indices`."""
+    boxes = BoxSet.of(boxes)
     n, n_boxes = xyz.shape[0], len(boxes)
     if n == 0 or n_boxes == 0:
         return np.zeros(n_boxes + 1, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, 3))
-    circles = []
-    for b in boxes:
-        r = 0.5 * math.hypot(b.l, b.w)
-        r += 1e-6 * (1.0 + abs(b.cx) + abs(b.cy) + r)
-        circles.append((b.cx, b.cy, r * r))
-    cx, cy, r2 = np.array(circles).T[:, :, None]
+    centers, rotations, half = boxes.frames()
+    r = np.hypot(half[:, 0], half[:, 1])
+    r += 1e-6 * (1.0 + np.abs(centers[:, 0]) + np.abs(centers[:, 1]) + r)
+    cx, cy, r2 = centers[:, :1], centers[:, 1:2], (r * r)[:, None]
     x, y = xyz[:, 0], xyz[:, 1]
     step = max(1, _PREFILTER_CELLS // n)
     owner, rows = [], []
@@ -248,7 +385,6 @@ def _assign_local(xyz: np.ndarray, boxes: Sequence[Box3D]) -> tuple[np.ndarray, 
         rows.append(r)
     # Candidates are grouped by box, rows ascending within each group.
     owner, rows = np.concatenate(owner), np.concatenate(rows)
-    centers, rotations, half = box_frames(boxes)
     offset = xyz[rows] - centers[owner]
     local = np.empty_like(offset)
     bounds = np.searchsorted(owner, np.arange(n_boxes + 1)).tolist()
@@ -276,12 +412,13 @@ def apply_rigid_transform(
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise NonPositiveScale(f"scale must be > 0, got {scale}")
-    # Each box rides along as one more row (cx, cy, cz, yaw), so its centre
-    # goes through the same arithmetic as the points.
+    # Each box rides along as one more row (cx, cy, cz, w), so its centre
+    # goes through the same arithmetic as the points; w is left alone, as
+    # the intensity is.
     n = scene.n_points
-    box_rows = np.array([(b.cx, b.cy, b.cz, b.yaw) for b in scene.boxes]).reshape(-1, 4)
-    rows = np.concatenate([scene.points, box_rows])
-    yaws = rows[n:, 3]
+    data = scene.boxes.data.copy()
+    rows = np.concatenate([scene.points, data[:, :4]])
+    yaws = data[:, 6]
     if flip_x:
         rows[:, 1] = -rows[:, 1]
         yaws[:] = -yaws
@@ -296,8 +433,7 @@ def apply_rigid_transform(
         yaws += rot_z
     if scale != 1.0:
         rows[:, :3] *= scale
-    boxes = [
-        Box3D(cx, cy, cz, b.w * scale, b.l * scale, b.h * scale, yaw, b.class_id, b.score)
-        for b, (cx, cy, cz, yaw) in zip(scene.boxes, rows[n:].tolist())
-    ]
-    return Scene(rows[:n], boxes, scene.domain_tag, scene.pseudo_labeled)
+    data[:, :3] = rows[n:, :3]
+    data[:, 3:6] *= scale
+    _validate(data)
+    return Scene(rows[:n], BoxSet._trusted(data), scene.domain_tag, scene.pseudo_labeled)

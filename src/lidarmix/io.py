@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _box
 from .pipeline import DatasetBundle, PipelineConfig
 
 
@@ -86,8 +86,8 @@ def write_cloud(scene: Scene, path: str | Path) -> None:
     _replace_file(path, data.tobytes())
 
 
-def read_labels(path: str | Path) -> list[Box3D]:
-    boxes = []
+def read_labels(path: str | Path) -> BoxSet:
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
@@ -97,26 +97,31 @@ def read_labels(path: str | Path) -> list[Box3D]:
             if len(tokens) not in (8, 9):
                 raise MalformedRecord(lineno, f"expected 8 or 9 fields, got {len(tokens)}")
             try:
-                cx, cy, cz, w, l, h, yaw = (float(t) for t in tokens[:7])
-                class_value = float(tokens[7])
-                if not class_value.is_integer():  # also false for inf and nan
-                    raise ValueError(f"class id {tokens[7]!r} is not an integer")
-                class_id = int(class_value)
-                score = float(tokens[8]) if len(tokens) == 9 else None
-                boxes.append(Box3D(cx, cy, cz, w, l, h, yaw, class_id, score))
+                row = [float(t) for t in tokens]
             except ValueError as exc:
                 raise MalformedRecord(lineno, str(exc)) from exc
-    return boxes
+            if len(row) == 8:
+                row.append(math.nan)  # no score
+            elif math.isnan(row[8]):
+                raise MalformedRecord(lineno, f"score must be in [0, 1], got {row[8]}")
+            rows.append(row)
+            lines.append(lineno)
+    try:
+        return BoxSet(rows)
+    except ValueError:
+        for lineno, row in zip(lines, rows):
+            try:
+                _box(row)
+            except ValueError as exc:
+                raise MalformedRecord(lineno, str(exc)) from exc
+        raise
 
 
 def write_labels(boxes: Sequence[Box3D], path: str | Path) -> None:
     lines = []
-    for b in boxes:
-        fields = [f"{v:.9g}" for v in (b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw)]
-        fields.append(str(b.class_id))
-        if b.score is not None:
-            fields.append(f"{b.score:.9g}")
-        lines.append(" ".join(fields))
+    for row in BoxSet.of(boxes).data.tolist():
+        line = "%.9g %.9g %.9g %.9g %.9g %.9g %.9g %d" % tuple(row[:8])
+        lines.append(line if math.isnan(row[8]) else f"{line} {row[8]:.9g}")
     text = "\n".join(lines) + ("\n" if lines else "")
     _replace_file(path, text.encode("utf-8"))
 

@@ -18,14 +18,17 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .adversarial import GradientField, GradientProvider, surrogate_loss
-from .geometry import Box3D, Scene
+from .geometry import Box3D, BoxSet, Scene
 
 
 class DetectorOracle(GradientProvider, Protocol):
     """Prediction plus loss/gradient evaluation over scenes. Read-only by
     construction, so a frozen teacher cannot drift during stage 2."""
 
-    def predict(self, scene: Scene) -> list[Box3D]: ...
+    def predict(self, scene: Scene) -> Sequence[Box3D]:
+        """The boxes detected in scene, each with a score: a BoxSet, or any
+        sequence of Box3Ds, which the pipeline converts once."""
+        ...
 
 
 def _component_labels(cells: np.ndarray, width: int) -> np.ndarray:
@@ -101,9 +104,9 @@ class GridClusterOracle:
         if not self.score_saturation > 0:
             raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
 
-    def predict(self, scene: Scene) -> list[Box3D]:
+    def predict(self, scene: Scene) -> BoxSet:
         if scene.n_points == 0:
-            return []
+            return BoxSet()
         xyz = scene.xyz
         ij = np.floor(xyz[:, :2] / self.cell_size).astype(np.int64)
         ij -= ij.min(axis=0)
@@ -122,13 +125,10 @@ class GridClusterOracle:
         mn, mx, counts = mn[keep], mx[keep], counts[keep]
         sizes = np.maximum(mx - mn, self.min_box_size)
         scores = np.minimum(1.0, counts / self.score_saturation)
-        # One row per box in Box3D's field order: center, (w, l, h) = the
-        # (y, x, z) sizes, then the score.
-        rows = np.column_stack(((mn + mx) / 2.0, sizes[:, [1, 0, 2]], scores))
-        return [
-            Box3D(cx, cy, cz, w, l, h, 0.0, 0, score)
-            for cx, cy, cz, w, l, h, score in rows.tolist()
-        ]
+        # One BoxSet row per box: center, (w, l, h) = the (y, x, z) sizes,
+        # yaw 0, class 0, then the score.
+        zeros = np.zeros((len(scores), 2))
+        return BoxSet(np.column_stack(((mn + mx) / 2.0, sizes[:, [1, 0, 2]], zeros, scores)))
 
     def loss_and_gradient(
         self, scene: Scene, boxes: Sequence[Box3D]

@@ -28,7 +28,7 @@ from .adversarial import (
     advmix_sample,
     consistency_loss,
 )
-from .geometry import DomainTag, Scene, apply_rigid_transform
+from .geometry import BoxSet, DomainTag, Scene, apply_rigid_transform
 from .oracle import DetectorOracle, GridClusterOracle
 from .sector_mix import SectorParams, targetmix_sample
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
@@ -220,13 +220,14 @@ def generate_pseudo_labels(
     stats: PseudoLabelStats | None = None,
 ) -> list[Scene]:
     """Attach the oracle's predictions with score >= threshold to each
-    scene; scenes stay TARGET_UNLABELED with the pseudo flag set."""
+    scene; scenes stay TARGET_UNLABELED with the pseudo flag set. A box
+    without a score is dropped."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     annotated = []
     for scene in unlabeled_scenes:
-        preds = oracle.predict(scene)
-        kept = [b for b in preds if b.score is not None and b.score >= threshold]
+        preds = BoxSet.of(oracle.predict(scene))
+        kept = preds[preds.data[:, 8] >= threshold]  # a missing score is NaN
         if stats is not None:
             stats.kept += len(kept)
             stats.discarded += len(preds) - len(kept)

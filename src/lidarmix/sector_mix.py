@@ -18,22 +18,17 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     Box3D,
+    BoxSet,
     DomainTag,
     Scene,
     _azimuth,
     assign_points,
-    box_corners,
-    box_frames,
     wrap_azimuth,
 )
 
 
 class SectorPackingFailed(RuntimeError):
     """Disjoint sector placement could not be found."""
-
-
-# Box centers closer than this to the z-axis have no meaningful azimuth.
-_Z_AXIS_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,23 +135,13 @@ def boxes_cross_boundary(boxes: Sequence[Box3D], mask: SectorMask) -> np.ndarray
     whose footprint reaches over the sensor origin span every azimuth and
     always cross; boxes centred on the z-axis have no meaningful azimuth
     and count as crossing too."""
-    if not boxes:
+    boxes = BoxSet.of(boxes)
+    if not len(boxes):
         return np.zeros(0, dtype=bool)
-    centers, rotations, half = box_frames(boxes)
-    degenerate = np.array([math.hypot(b.cx, b.cy) < _Z_AXIS_TOLERANCE for b in boxes])
-    origin = ((-centers)[:, None, :] @ rotations)[:, 0, :2]
-    over_origin = np.all(np.abs(origin) <= half[:, :2], axis=1)
-    corners = box_corners(centers, rotations, half)
-    az = np.sort(_azimuth(corners[..., 1], corners[..., 0]), axis=1)
-    # Shortest covering arc: it starts after the widest gap between corners.
-    gaps = np.diff(az, axis=1, append=az[:, :1] + TWO_PI)
-    widest = np.argmax(gaps, axis=1)
-    rows = np.arange(len(boxes))
-    arc_start = az[rows, (widest + 1) % az.shape[1]]
-    arc_width = TWO_PI - gaps[rows, widest]
+    _, arc_start, arc_width, whole = boxes.azimuths()
     edges = mask.boundary_angles()
     cut = np.any(np.mod(edges - arc_start[:, None], TWO_PI) <= arc_width[:, None], axis=1)
-    return degenerate | over_origin | cut
+    return whole | cut
 
 
 def box_crosses_boundary(box: Box3D, mask: SectorMask) -> bool:
@@ -174,17 +159,13 @@ def enhanced_filter(scene: Scene, mask: SectorMask, keep_inside: bool) -> Scene:
     one `assign_points` pass finds the points of the crossing ones.
     """
     boxes = scene.boxes
-    cut = boxes_cross_boundary(boxes, mask).tolist()
+    cut = boxes_cross_boundary(boxes, mask)
     az = _azimuth(scene.points[:, 1], scene.points[:, 0])
     keep = mask.contains(az) == keep_inside
-    crossing = [b for b, c in zip(boxes, cut) if c]
-    if crossing:
-        keep[assign_points(scene.xyz, crossing)[1]] = False
-
-    center_az = wrap_azimuth(np.array([math.atan2(b.cy, b.cx) for b in boxes]))
-    side = (mask.contains(center_az) == keep_inside).tolist()
-    kept_boxes = [b for b, c, s in zip(boxes, cut, side) if s and not c]
-    return Scene(scene.points[keep], kept_boxes, scene.domain_tag, scene.pseudo_labeled)
+    if cut.any():
+        keep[assign_points(scene.xyz, boxes[cut])[1]] = False
+    side = mask.contains(boxes.azimuths()[0]) == keep_inside
+    return Scene(scene.points[keep], boxes[side & ~cut], scene.domain_tag, scene.pseudo_labeled)
 
 
 def polar_mix(source: Scene, target: Scene, mask: SectorMask) -> Scene:

@@ -243,10 +243,11 @@ def lidar_distribution_match(
     channel, and VFOV match the target sensor.
 
     Composition: build_range_image -> backproject, where the strided build
-    writes straight onto the target-size lattice. Labels are copied
-    verbatim, even for boxes emptied of points. With random_stride
-    the stride offsets are drawn per scene from rng (required then) for
-    training diversity instead of always starting at index 0.
+    writes straight onto the target-size lattice. The labels are the
+    source's immutable BoxSet, shared even for boxes emptied of points.
+    With random_stride the stride offsets are drawn per scene from rng
+    (required then) for training diversity instead of always starting at
+    index 0.
     """
     if scene.domain_tag is not DomainTag.SOURCE:
         raise ValueError(f"expected a SOURCE-tagged scene, got {scene.domain_tag}")
@@ -258,5 +259,5 @@ def lidar_distribution_match(
         row_offset = int(rng.integers(v))
         col_offset = int(rng.integers(h))
     out = backproject(build_range_image(scene, src, v, h, row_offset, col_offset))
-    out.boxes = list(scene.boxes)
+    out.boxes = scene.boxes
     return out

@@ -119,6 +119,41 @@ class TestSurrogateLoss:
             assert loss == ref_loss
             assert np.array_equal(field.grads, ref_grads)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_per=st.integers(1, 300),
+        extra=st.integers(0, 4),
+        knee=st.floats(0.05, 3.0),
+    )
+    def test_matches_mean_and_norm_loop(self, seed, n_per, extra, knee):
+        # the loop over one shared assignment with .mean(axis=0) and
+        # np.linalg.norm, bit for bit
+        def reference(scene, boxes, knee):
+            grads = np.zeros((scene.n_points, 3))
+            total = 0.0
+            indptr, indices, local = geometry._assign_local(scene.xyz, boxes)
+            for box, start, stop in zip(boxes, indptr[:-1].tolist(), indptr[1:].tolist()):
+                if stop == start:
+                    continue
+                idx = indices[start:stop]
+                centroid = local[start:stop].mean(axis=0)
+                r = float(np.linalg.norm(centroid))
+                total += 0.5 * r * r / knee if r < knee else r - 0.5 * knee
+                if r > 0.0:
+                    slope = r / knee if r < knee else 1.0
+                    grads[idx] += ((slope / r) * centroid / idx.size) @ box.rotation().T
+            return total / len(boxes), grads / len(boxes)
+
+        rng = np.random.default_rng(seed)
+        centers = [(rng.uniform(5, 9), rng.uniform(-2, 2), 0.0) for _ in range(4)]
+        scene = cluster_scene(rng, centers, n_per=n_per)
+        boxes = scene.boxes + [random_box(rng, dist_range=(4.0, 10.0)) for _ in range(extra)]
+        loss, field = surrogate_loss(scene, boxes, knee)
+        ref_loss, ref_grads = reference(scene, boxes, knee)
+        assert loss == ref_loss
+        assert field.grads.tobytes() == ref_grads.tobytes()
+
     def test_above_knee_branch(self):
         # single point 3 m off-center: loss = 3 - 0.5, slope 1
         box = Box3D(0.0, 10.0, 0.0, w=8, l=8, h=8, yaw=0.0)

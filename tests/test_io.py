@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import stat
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,106 @@ class TestLabelFiles:
         path = tmp_path / "labels.txt"
         write_labels([], path)
         assert read_labels(path) == []
+
+    @pytest.mark.parametrize("class_id", [2.5, True, 2**53 + 1])
+    def test_class_id_that_cannot_round_trip_is_refused(self, tmp_path, class_id):
+        # each of these used to be written, then refused (or changed) on read
+        path = tmp_path / "labels.txt"
+        try:
+            write_labels([Box3D(0, 0, 0, 1, 1, 1, 0, class_id)], path)
+        except ValueError:
+            return
+        assert read_labels(path)[0].class_id == class_id
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(2**53), 2**53))
+    def test_class_id_round_trips(self, tmp_path_factory, class_id):
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        write_labels([Box3D(0, 0, 0, 1, 1, 1, 0, class_id)], path)
+        assert read_labels(path)[0].class_id == class_id
+
+    @pytest.mark.parametrize("token", ["9007199254740994", "-1e300"])
+    def test_class_id_beyond_float64_integers_malformed(self, tmp_path, token):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"0 0 0 1 1 1 0 0\n0 0 0 1 1 1 0 {token}\n")
+        with pytest.raises(MalformedRecord, match="class id") as exc:
+            read_labels(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("score", ["nan", "-nan", "1.5", "inf"])
+    def test_bad_score_malformed(self, tmp_path, score):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"# header\n0 0 0 1 1 1 0 0 {score}\n")
+        with pytest.raises(MalformedRecord, match="score must be in") as exc:
+            read_labels(path)
+        assert exc.value.line == 2
+
+    def test_refusal_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0 0 0 1 1 1 0 0\n\n0 0 0 1 0 1 0 0\n0 0 0 nan 1 1 0 0\n")
+        with pytest.raises(MalformedRecord, match="sizes must be positive") as exc:
+            read_labels(path)
+        assert exc.value.line == 3
+
+
+def _per_box_label_text(boxes) -> str:
+    """Label text formatted box by box from Box3D fields: the reference
+    that write_labels' row formatting must match byte for byte."""
+    lines = []
+    for b in boxes:
+        fields = [f"{v:.9g}" for v in (b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw)]
+        fields.append(str(b.class_id))
+        if b.score is not None:
+            fields.append(f"{b.score:.9g}")
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _load_scans():
+    # executed from its source, so no bytecode is written under lidarbench/
+    path = Path(__file__).resolve().parents[1] / "lidarbench" / "scans.py"
+    module = types.ModuleType("lidarbench_scans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestLabelText:
+    def test_scan_dense_labels_match_reference(self, tmp_path):
+        # the scan-dense label sets: ground-truth cars, and the same cars as
+        # loosened, scored pseudo-labels
+        scans = _load_scans()
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+        for i in range(6):
+            cars = scans.place_cars(rng, 25)
+            pseudo = [
+                Box3D(b.cx, b.cy, b.cz, b.w + 0.2, b.l + 0.2, b.h + 0.2, b.yaw, 0, 0.9) for b in cars
+            ]
+            for boxes in (cars, pseudo):
+                write_labels(boxes, tmp_path / f"{i}.txt")
+                assert (tmp_path / f"{i}.txt").read_bytes() == _per_box_label_text(boxes).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Box3D,
+                st.floats(-1e300, 1e300),
+                st.floats(-1e300, 1e300),
+                st.floats(-1e300, 1e300),
+                st.floats(1e-300, 1e300),
+                st.floats(1e-300, 1e300),
+                st.floats(1e-300, 1e300),
+                st.floats(-1e6, 1e6),
+                st.integers(-(2**53), 2**53),
+                st.none() | st.floats(0.0, 1.0),
+            ),
+            max_size=5,
+        )
+    )
+    def test_hypothesis_boxes_match_reference(self, tmp_path_factory, boxes):
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        write_labels(boxes, path)
+        assert path.read_bytes() == _per_box_label_text(boxes).encode()
 
 
 def _set_past_validation(cfg, **fields):
