@@ -91,11 +91,6 @@ def xyz_from_spherical(aer: np.ndarray) -> np.ndarray:
     )
 
 
-def _rotation_rows(yaw: float) -> tuple:
-    c, s = math.cos(yaw), math.sin(yaw)
-    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center (cx, cy, cz), sizes (w, l, h) with l along
@@ -133,7 +128,8 @@ class Box3D:
 
     def rotation(self) -> np.ndarray:
         """Box-to-world rotation; columns are the box axes in world frame."""
-        return np.array(_rotation_rows(self.yaw))
+        c, s = math.cos(self.yaw), math.sin(self.yaw)
+        return np.array(((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
 
     def half_sizes(self) -> np.ndarray:
         """Half extents along the box axes (x' = l, y' = w, z' = h)."""
@@ -204,7 +200,7 @@ class BoxSet(Sequence):
     list of Box3Ds is one bool.
     """
 
-    __slots__ = ("data", "_frames", "_azimuths")
+    __slots__ = ("data", "_frames", "_azimuths", "_rows_of")
     __hash__ = None
 
     def __init__(self, rows=()):
@@ -215,14 +211,14 @@ class BoxSet(Sequence):
             raise ValueError(f"box rows must have shape (K, 9), got {data.shape}")
         _validate(data)
         data.flags.writeable = False
-        self.data, self._frames, self._azimuths = data, None, None
+        self.data, self._frames, self._azimuths, self._rows_of = data, None, None, None
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "BoxSet":
         """The set of rows that are known to be valid, without checks."""
         boxes = object.__new__(cls)
         data.flags.writeable = False
-        boxes.data, boxes._frames, boxes._azimuths = data, None, None
+        boxes.data, boxes._frames, boxes._azimuths, boxes._rows_of = data, None, None, None
         return boxes
 
     @classmethod
@@ -242,7 +238,10 @@ class BoxSet(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return _box(self.data[key].tolist())
-        return BoxSet._trusted(self.data[key])
+        subset = BoxSet._trusted(self.data[key])
+        if self._frames is not None:  # per row; the key is copied, as the caller may reuse it
+            subset._rows_of = self._frames, key if isinstance(key, slice) else np.array(key)
+        return subset
 
     def __iter__(self):
         return map(_box, self.data.tolist())
@@ -260,11 +259,18 @@ class BoxSet(Sequence):
 
     def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each box's `center()` (K, 3), `rotation()` (K, 3, 3) and
-        `half_sizes()` (K, 3), computed on the first call only."""
+        `half_sizes()` (K, 3), made on the first call only; a subset slices its parent's."""
+        if self._frames is None and self._rows_of is not None:
+            frames, rows = self._rows_of
+            self._frames, self._rows_of = _read_only(*(a[rows] for a in frames)), None
         if self._frames is None:
-            rotations = np.array([_rotation_rows(yaw) for yaw in self.data[:, 6].tolist()])
+            yaw = self.data[:, 6].tolist()  # libm per box, as in Box3D.rotation()
+            rotations = np.zeros((len(yaw), 3, 3))
+            rotations[:, 0, 0] = rotations[:, 1, 1] = list(map(math.cos, yaw))
+            rotations[:, 1, 0] = list(map(math.sin, yaw))
+            rotations[:, 0, 1], rotations[:, 2, 2] = -rotations[:, 1, 0], 1.0
             half = self.data[:, [4, 3, 5]] / 2.0
-            self._frames = _read_only(self.data[:, :3], rotations.reshape(-1, 3, 3), half)
+            self._frames = _read_only(self.data[:, :3], rotations, half)
         return self._frames
 
     def corners(self) -> np.ndarray:

@@ -3,9 +3,11 @@
 The reference detector clusters points by 8-connected components over the
 occupied cells of a 2D grid and fits axis-aligned boxes. Only occupied
 cells are stored, so cost follows the point count, not the scene extent,
-and a far outlier cannot blow up memory. The detector has no trainable
-state, so "training" passes in the pipeline reduce to loss evaluation.
-Real detectors plug in through the same contract.
+and a far outlier cannot blow up memory. One sort of the points' cell
+keys yields the occupied cells; each component's count and extremes are
+then scattered from its points, with no second sort. The detector has no
+trainable state, so "training" passes in the pipeline reduce to loss
+evaluation. Real detectors plug in through the same contract.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ def _component_labels(cells: np.ndarray, width: int) -> np.ndarray:
 
     cells are sorted, unique raster keys i * width + j + 1, where width
     leaves an empty guard column on each side of every row. Union-find
-    over the edges to the forward neighbours (E, SW, S, SE): roots are
-    hooked onto the smaller root, then every pointer jumps to its root,
-    until each edge joins equal roots. A root is then its component's
-    smallest index, i.e. its first cell in raster order.
+    over the edges to the forward neighbours (E, SW, S, SE): the larger
+    root of each split edge is hooked onto the smaller one, then every
+    pointer jumps to its root, until each edge joins equal roots. A root
+    is then its component's smallest index, i.e. its first cell in raster
+    order.
     """
     n = cells.size
     idx = np.arange(n)
@@ -67,12 +70,11 @@ def _component_labels(cells: np.ndarray, width: int) -> np.ndarray:
         if not split.any():
             break
         root_src, root_dst = root_src[split], root_dst[split]
-        low = np.minimum(root_src, root_dst)
-        np.minimum.at(parent, root_src, low)
-        np.minimum.at(parent, root_dst, low)
+        # Only the larger root moves: the smaller one already points at itself.
+        np.minimum.at(parent, np.maximum(root_src, root_dst), np.minimum(root_src, root_dst))
         while True:
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            if (jumped == parent).all():
                 break
             parent = jumped
     is_root = parent == idx
@@ -105,24 +107,35 @@ class GridClusterOracle:
             raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
 
     def predict(self, scene: Scene) -> BoxSet:
+        """One sort of the cell keys gives the occupied cells and each point's
+        cell; each component's count, min and max are scattered from its points."""
         if scene.n_points == 0:
             return BoxSet()
         xyz = scene.xyz
-        ij = np.floor(xyz[:, :2] / self.cell_size).astype(np.int64)
-        ij -= ij.min(axis=0)
+        i, j = np.floor(xyz[:, 0] / self.cell_size), np.floor(xyz[:, 1] / self.cell_size)
+        i_min, i_max, j_min, j_max = i.min(), i.max(), j.min(), j.max()
+        if not all(map(math.isfinite, (i_min, i_max, j_min, j_max))):
+            raise ValueError("scene has non-finite point coordinates")
         # Raster keys with an empty guard column on each side of every row,
         # so a cell's W/E neighbour never wraps onto the adjacent row.
-        width = int(ij[:, 1].max()) + 3
-        cells, cell_of_point = np.unique(ij[:, 0] * width + ij[:, 1] + 1, return_inverse=True)
-        label = _component_labels(cells, width)[cell_of_point]
+        width = int(j_max) - int(j_min) + 3
+        keys = (i.astype(np.int64) - int(i_min)) * width + (j.astype(np.int64) - int(j_min)) + 1
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        label = np.empty(len(keys), dtype=np.int64)
+        label[order] = _component_labels(sorted_keys[first], width)[np.cumsum(first) - 1]
 
-        sorted_xyz = xyz[np.argsort(label, kind="stable")]
         counts = np.bincount(label)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        mn = np.minimum.reduceat(sorted_xyz, starts, axis=0)
-        mx = np.maximum.reduceat(sorted_xyz, starts, axis=0)
+        mn, mx = np.full((3, len(counts)), np.inf), np.full((3, len(counts)), -np.inf)
+        with np.errstate(invalid="ignore"):  # a NaN z is refused just below
+            for axis in range(3):
+                np.minimum.at(mn[axis], label, xyz[:, axis])
+                np.maximum.at(mx[axis], label, xyz[:, axis])
+        if not np.isfinite((mn[2], mx[2])).all():  # x and y are checked above
+            raise ValueError("scene has non-finite point coordinates")
         keep = counts >= self.min_points
-        mn, mx, counts = mn[keep], mx[keep], counts[keep]
+        mn, mx, counts = mn[:, keep].T, mx[:, keep].T, counts[keep]
         sizes = np.maximum(mx - mn, self.min_box_size)
         scores = np.minimum(1.0, counts / self.score_saturation)
         # One BoxSet row per box: center, (w, l, h) = the (y, x, z) sizes,

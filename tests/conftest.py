@@ -1,4 +1,6 @@
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,15 @@ def reference_points_in_box(xyz, box):
     local = (xyz - box.center()) @ box.rotation()
     inside = np.all(np.abs(local) <= box.half_sizes(), axis=1)
     return np.nonzero(inside)[0]
+
+
+def load_scans():
+    """lidarbench/scans.py, the ray-cast scan generator, as a module. It is
+    executed from its source, so no bytecode is written under lidarbench/."""
+    path = Path(__file__).resolve().parents[1] / "lidarbench" / "scans.py"
+    module = types.ModuleType("lidarbench_scans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture

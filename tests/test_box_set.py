@@ -39,6 +39,15 @@ raw_rows = st.lists(
 )
 
 
+def subset_keys(n):
+    """The keys that take a subset of n boxes: slices, masks and index arrays."""
+    ends = st.integers(-8, 8) | st.none()
+    slices = st.builds(slice, ends, ends, st.sampled_from([1, 2, -1]))
+    masks = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda m: np.array(m, dtype=bool))
+    indices = st.lists(st.integers(-n, n - 1), max_size=8) if n else st.just([])
+    return slices | masks | indices.map(lambda i: np.array(i, dtype=np.intp))
+
+
 def box_of_row(row):
     """The Box3D that holds the row's values: an integral class id as an
     int, a NaN score as no score."""
@@ -93,13 +102,33 @@ class TestSequence:
             boxes.data[0, 0] = 5.0
         assert not hasattr(boxes, "append")
 
-    def test_frames_and_corners_match_the_box(self):
-        box = Box3D(3.0, -4.0, 0.5, w=1.5, l=4.0, h=1.2, yaw=2.0)
-        centers, rotations, half = BoxSet.of([box]).frames()
-        assert np.array_equal(centers[0], box.center())
-        assert np.array_equal(rotations[0], box.rotation())
-        assert np.array_equal(half[0], box.half_sizes())
-        assert box.corners().shape == (8, 3)
+    @settings(max_examples=200, deadline=None)
+    @given(box_lists)
+    def test_frames_and_corners_match_the_box(self, bs):
+        # byte for byte, row by row: the set's libm rotations are Box3D's
+        centers, rotations, half = BoxSet.of(bs).frames()
+        assert rotations.shape == (len(bs), 3, 3)
+        for b, center, rotation, h in zip(bs, centers, rotations, half):
+            assert center.tobytes() == b.center().tobytes()
+            assert rotation.tobytes() == b.rotation().tobytes()
+            assert h.tobytes() == b.half_sizes().tobytes()
+            assert b.corners().shape == (8, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_lists, st.data())
+    def test_subset_inherits_the_parents_frames(self, bs, data):
+        parent = BoxSet.of(bs)
+        parent.frames()
+        key = data.draw(subset_keys(len(bs)))
+        subset = parent[key]
+        assert subset._rows_of is not None  # sliced from the parent's, not recomputed
+        if isinstance(key, np.ndarray):  # the caller's key may change after the subset is taken
+            key[...] = 0
+        fresh = BoxSet(subset.data).frames()
+        for inherited, computed in zip(subset.frames(), fresh):
+            assert inherited.shape == computed.shape
+            assert inherited.tobytes() == computed.tobytes()
+            assert not inherited.flags.writeable
 
 
 class TestValidation:

@@ -2,15 +2,13 @@ import dataclasses
 import math
 import os
 import stat
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_box, random_scene
+from conftest import load_scans, random_box, random_scene
 from lidarmix.adversarial import PerturbationConfig
 from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.io import (
@@ -208,19 +206,11 @@ def _per_box_label_text(boxes) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _load_scans():
-    # executed from its source, so no bytecode is written under lidarbench/
-    path = Path(__file__).resolve().parents[1] / "lidarbench" / "scans.py"
-    module = types.ModuleType("lidarbench_scans")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
 class TestLabelText:
     def test_scan_dense_labels_match_reference(self, tmp_path):
         # the scan-dense label sets: ground-truth cars, and the same cars as
         # loosened, scored pseudo-labels
-        scans = _load_scans()
+        scans = load_scans()
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         for i in range(6):
             cars = scans.place_cars(rng, 25)

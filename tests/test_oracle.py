@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import cluster_scene
-from lidarmix.geometry import Box3D, Scene, points_in_box
+from conftest import cluster_scene, load_scans
+from lidarmix import sensor
+from lidarmix.geometry import Box3D, BoxSet, DomainTag, Scene, points_in_box
 from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import PipelineConfig, run_full
 from lidarmix.synth import synthesize_dataset
@@ -106,6 +109,18 @@ class TestGridClusterOracle:
         with pytest.raises(ValueError, match="knee must be finite and > 0"):
             GridClusterOracle(smooth_l1_knee=np.inf).loss_and_gradient(scene, [box])
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_is_refused(self, rng, column, value):
+        # an in-memory scene can hold what read_cloud refuses: one plain
+        # error, not a cast warning and a complaint about a box field
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 15, 0)], n_per=20)
+        scene.points[7, column] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scene has non-finite point coordinates"):
+                GridClusterOracle().predict(scene)
+
     def test_run_full_survives_far_outlier(self):
         bundle = synthesize_dataset(0)
         scene = bundle.target_unlabeled[0]
@@ -145,6 +160,14 @@ def reference_predict(oracle: GridClusterOracle, scene: Scene) -> list[Box3D]:
             )
         )
     return boxes
+
+
+def assert_same_bytes(oracle: GridClusterOracle, scene: Scene) -> None:
+    """predict equals the reference box for box and byte for byte."""
+    expected = reference_predict(oracle, scene)
+    got = oracle.predict(scene)
+    assert got == expected
+    assert got.data.tobytes() == BoxSet.of(expected).data.tobytes()
 
 
 @st.composite
@@ -210,7 +233,16 @@ class TestDenseGridEquivalence:
         oracle = GridClusterOracle(cell_size=cell_size)
         bundle = synthesize_dataset(1)
         for scene in bundle.source + bundle.target_labeled + bundle.target_unlabeled:
-            assert oracle.predict(scene) == reference_predict(oracle, scene)
+            assert_same_bytes(oracle, scene)
+
+    @pytest.mark.parametrize("spec", [sensor.WAYMO_64, sensor.NUSCENES_32], ids=["64x2200", "32x1100"])
+    def test_raycast_scans(self, spec):
+        # real scan density: about 115k and 25k points, 25 cars on a ground plane
+        scans = load_scans()
+        rng = np.random.default_rng(0)
+        scene = scans.raycast_scan(rng, spec, scans.place_cars(rng, 25), DomainTag.TARGET_UNLABELED)
+        assert scene.n_points > 20_000
+        assert_same_bytes(GridClusterOracle(), scene)
 
     @settings(max_examples=40, deadline=None)
     @given(dense_clouds(), st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.integers(1, 8))
