@@ -129,8 +129,8 @@ def surrogate_loss(
 def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:
     """Per-point displacement of magnitude epsilon along the normalized
     negative loss gradient; zero where the gradient vanishes."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     g = field.grads
     norms = np.linalg.norm(g, axis=1)
     delta = np.zeros_like(g)

@@ -200,8 +200,7 @@ class BoxSet(Sequence):
     list of Box3Ds is one bool.
     """
 
-    __slots__ = ("data", "_frames", "_azimuths", "_rows_of")
-    __hash__ = None
+    __slots__ = ("data", "_frames", "_azimuths")
 
     def __init__(self, rows=()):
         data = np.array(rows, dtype=np.float64)
@@ -211,14 +210,14 @@ class BoxSet(Sequence):
             raise ValueError(f"box rows must have shape (K, 9), got {data.shape}")
         _validate(data)
         data.flags.writeable = False
-        self.data, self._frames, self._azimuths, self._rows_of = data, None, None, None
+        self.data, self._frames, self._azimuths = data, None, None
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "BoxSet":
         """The set of rows that are known to be valid, without checks."""
         boxes = object.__new__(cls)
         data.flags.writeable = False
-        boxes.data, boxes._frames, boxes._azimuths, boxes._rows_of = data, None, None, None
+        boxes.data, boxes._frames, boxes._azimuths = data, None, None
         return boxes
 
     @classmethod
@@ -227,10 +226,8 @@ class BoxSet(Sequence):
         fields Box3D has checked already."""
         if type(boxes) is cls:
             return boxes
-        if len(boxes) == 0:
-            return _NO_BOXES
         rows = [(b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw, b.class_id, b.score) for b in boxes]
-        return cls._trusted(np.array(rows, dtype=np.float64))  # a None score becomes NaN
+        return cls._trusted(np.array(rows, dtype=np.float64).reshape(-1, 9))  # a None score becomes NaN
 
     def __len__(self) -> int:
         return len(self.data)
@@ -238,10 +235,7 @@ class BoxSet(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return _box(self.data[key].tolist())
-        subset = BoxSet._trusted(self.data[key])
-        if self._frames is not None:  # per row; the key is copied, as the caller may reuse it
-            subset._rows_of = self._frames, key if isinstance(key, slice) else np.array(key)
-        return subset
+        return BoxSet._trusted(self.data[key])
 
     def __iter__(self):
         return map(_box, self.data.tolist())
@@ -259,10 +253,7 @@ class BoxSet(Sequence):
 
     def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each box's `center()` (K, 3), `rotation()` (K, 3, 3) and
-        `half_sizes()` (K, 3), made on the first call only; a subset slices its parent's."""
-        if self._frames is None and self._rows_of is not None:
-            frames, rows = self._rows_of
-            self._frames, self._rows_of = _read_only(*(a[rows] for a in frames)), None
+        `half_sizes()` (K, 3), made on the first call only."""
         if self._frames is None:
             yaw = self.data[:, 6].tolist()  # libm per box, as in Box3D.rotation()
             rotations = np.zeros((len(yaw), 3, 3))
@@ -300,9 +291,6 @@ class BoxSet(Sequence):
             start, width = az[rows, (widest + 1) % 8], TWO_PI - gaps[rows, widest]
             self._azimuths = _read_only(center, start, width, on_axis | over_origin)
         return self._azimuths
-
-
-_NO_BOXES = BoxSet()
 
 
 class Scene:
@@ -418,6 +406,8 @@ def apply_rigid_transform(
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise NonPositiveScale(f"scale must be > 0, got {scale}")
+    if not math.isfinite(rot_z):
+        raise ValueError(f"rot_z must be finite, got {rot_z}")
     # Each box rides along as one more row (cx, cy, cz, w), so its centre
     # goes through the same arithmetic as the points; w is left alone, as
     # the intensity is.

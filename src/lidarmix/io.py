@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxSet, DomainTag, Scene, _box
+from .geometry import Box3D, BoxSet, DomainTag, Scene
 from .pipeline import DatasetBundle, PipelineConfig
 
 
@@ -111,7 +111,7 @@ def read_labels(path: str | Path) -> BoxSet:
     except ValueError:
         for lineno, row in zip(lines, rows):
             try:
-                _box(row)
+                BoxSet([row])
             except ValueError as exc:
                 raise MalformedRecord(lineno, str(exc)) from exc
         raise

@@ -89,7 +89,8 @@ class GridClusterOracle:
     components of occupied cells with at least min_points members become
     axis-aligned boxes with score = min(1, points / score_saturation).
     Boxes come out in the raster order (x cell, then y cell) of each
-    component's first cell. There is no limit on the scene extent.
+    component's first cell. The scene extent is limited only by the int64
+    raster keys of its cells; a scene whose keys would overflow is refused.
     """
 
     cell_size: float = 1.0
@@ -105,6 +106,8 @@ class GridClusterOracle:
             raise ValueError(f"smooth_l1_knee must be finite and > 0, got {self.smooth_l1_knee}")
         if not self.score_saturation > 0:
             raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
+        if not 0.0 < self.min_box_size < math.inf:
+            raise ValueError(f"min_box_size must be finite and > 0, got {self.min_box_size}")
 
     def predict(self, scene: Scene) -> BoxSet:
         """One sort of the cell keys gives the occupied cells and each point's
@@ -114,10 +117,15 @@ class GridClusterOracle:
         xyz = scene.xyz
         i, j = np.floor(xyz[:, 0] / self.cell_size), np.floor(xyz[:, 1] / self.cell_size)
         i_min, i_max, j_min, j_max = i.min(), i.max(), j.min(), j.max()
-        if not all(map(math.isfinite, (i_min, i_max, j_min, j_max))):
-            raise ValueError("scene has non-finite point coordinates")
         # Raster keys with an empty guard column on each side of every row,
-        # so a cell's W/E neighbour never wraps onto the adjacent row.
+        # so a cell's W/E neighbour never wraps onto the adjacent row. Every
+        # cell index, and every key up to those _component_labels probes one
+        # row past the last, must fit in int64; a NaN or inf index never does.
+        if not (
+            all(abs(e) < 2**62 for e in (i_min, i_max, j_min, j_max))
+            and (int(i_max) - int(i_min) + 2) * (int(j_max) - int(j_min) + 3) < 2**63
+        ):
+            raise ValueError("scene has non-finite point coordinates or exceeds the int64 cell range")
         width = int(j_max) - int(j_min) + 3
         keys = (i.astype(np.int64) - int(i_min)) * width + (j.astype(np.int64) - int(j_min)) + 1
         order = np.argsort(keys)

@@ -73,6 +73,8 @@ class SectorMask:
         wrapped = []
         total = 0.0
         for start, width in self.sectors:
+            if not math.isfinite(start):
+                raise ValueError(f"sector start must be finite, got {start}")
             if not (0.0 < width < TWO_PI):
                 raise ValueError(f"sector width must be in (0, 2pi), got {width}")
             wrapped.append((wrap_azimuth(float(start)), float(width)))

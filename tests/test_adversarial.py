@@ -182,6 +182,14 @@ class TestPerturbationDelta:
         with pytest.raises(ValueError):
             perturbation_delta(GradientField(np.zeros((1, 3))), 0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_rejects_non_finite_epsilon(self, rng, epsilon):
+        # an inf epsilon gave NaN deltas wherever a gradient component is 0
+        grads = rng.normal(size=(4, 3))
+        grads[0, 0] = 0.0
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            perturbation_delta(GradientField(grads), epsilon)
+
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.lists(

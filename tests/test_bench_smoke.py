@@ -1,6 +1,7 @@
 """Each lidarbench workload runs a short traced pass and passes its own
 correctness checks, so a library change the benchmark depends on fails
-here rather than only in a full benchmark run."""
+here rather than only in a full benchmark run. A RuntimeWarning is an
+error there, as it is in the test suite."""
 
 import json
 import subprocess
@@ -15,7 +16,8 @@ REPO = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("workload", ["pipeline-synth", "scan-dense", "augment-small"])
 def test_workload_runs_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "lidarbench/run.py", "--workload", workload, "--seconds", "0.2", "--trace", "1"],
+        [sys.executable, "-W", "error::RuntimeWarning", "lidarbench/run.py"]
+        + ["--workload", workload, "--seconds", "0.2", "--trace", "1"],
         cwd=REPO,
         capture_output=True,
         text=True,

@@ -121,7 +121,6 @@ class TestSequence:
         parent.frames()
         key = data.draw(subset_keys(len(bs)))
         subset = parent[key]
-        assert subset._rows_of is not None  # sliced from the parent's, not recomputed
         if isinstance(key, np.ndarray):  # the caller's key may change after the subset is taken
             key[...] = 0
         fresh = BoxSet(subset.data).frames()

@@ -535,6 +535,14 @@ class TestRigidTransform:
         with pytest.raises(NonPositiveScale):
             apply_rigid_transform(random_scene(rng), False, False, 0.0, 0.0)
 
+    @pytest.mark.parametrize("with_boxes", [False, True])
+    @pytest.mark.parametrize("rot_z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rot_z(self, rng, rot_z, with_boxes):
+        # a NaN turned a box-free scene into NaN points; an inf failed in libm
+        scene = random_scene(rng, boxes=[random_box(rng)] if with_boxes else [])
+        with pytest.raises(ValueError, match="rot_z must be finite"):
+            apply_rigid_transform(scene, False, False, rot_z, 1.0)
+
     def test_distances_scale_exactly(self, rng):
         scene = random_scene(rng, n=50)
         out = apply_rigid_transform(scene, True, False, 0.7, 1.3)

@@ -80,8 +80,15 @@ class TestGridClusterOracle:
     def test_zero_min_box_size_flat_cell_still_rejected(self, rng):
         xy = rng.uniform(0.1, 0.9, size=(8, 2)) + np.array([10.0, 0.0])
         scene = Scene(np.column_stack([xy, np.zeros(8), np.zeros(8)]))  # one cell, all z = 0
-        with pytest.raises(ValueError, match="sizes must be positive"):
+        # refused at construction, before a flat cell can become a zero-size box
+        with pytest.raises(ValueError, match="min_box_size must be finite and > 0"):
             GridClusterOracle(min_box_size=0.0).predict(scene)
+
+    @pytest.mark.parametrize("size", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_min_box_size_not_finite_positive(self, size):
+        # predict on a flat cluster used to fail on a box field instead
+        with pytest.raises(ValueError, match="min_box_size must be finite and > 0"):
+            GridClusterOracle(min_box_size=size)
 
     @pytest.mark.parametrize("saturation", [0, -5])
     def test_rejects_non_positive_score_saturation(self, saturation):
@@ -120,6 +127,25 @@ class TestGridClusterOracle:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="scene has non-finite point coordinates"):
                 GridClusterOracle().predict(scene)
+
+    def test_outlier_past_the_int64_cell_range_is_refused(self, rng):
+        # its cell index used to be cast with a RuntimeWarning, and the
+        # garbage key joined the cluster into one box 1e300 m long
+        scene = cluster_scene(rng, [(0, 0, 0)], n_per=30)
+        scene.points = np.vstack([scene.points, [[1e300, 0.0, 0.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the int64 cell range"):
+                GridClusterOracle().predict(scene)
+
+    def test_raster_keys_past_int64_are_refused(self, rng):
+        # each cell index fits, but 1e10 x 1e10 raster keys do not: they
+        # used to wrap around silently
+        scene = cluster_scene(rng, [(0, 0, 0), (100, 100, 0)], n_per=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the int64 cell range"):
+                GridClusterOracle(cell_size=1e-8).predict(scene)
 
     def test_run_full_survives_far_outlier(self):
         bundle = synthesize_dataset(0)

@@ -115,6 +115,12 @@ class TestSectorMask:
         with pytest.raises(ValueError):
             SectorMask(((0.0, 1.0), (0.5, 1.0)))
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, start):
+        # such a start was stored as NaN, and the mask then held no azimuth
+        with pytest.raises(ValueError, match="sector start must be finite"):
+            SectorMask(((start, 1.0),))
+
     def test_rejects_full_circle(self):
         with pytest.raises(ValueError):
             SectorMask(((0.0, 3.5), (3.5, 2.9)))

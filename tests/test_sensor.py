@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_scans
 from lidarmix import sensor
-from lidarmix.geometry import DomainTag, Scene, spherical_from_xyz, xyz_from_spherical
+from lidarmix.geometry import DomainTag, Scene, assign_points, spherical_from_xyz, xyz_from_spherical
 from lidarmix.sensor import (
     NUSCENES_32,
     WAYMO_64,
@@ -418,3 +420,72 @@ class TestDistributionMatch:
         scene = scene_from_spherical([[0.5, 0.0, 10.0]])
         with pytest.raises(ValueError, match="random_stride"):
             lidar_distribution_match(scene, WAYMO_64, NUSCENES_32, random_stride=True)
+
+
+FIDELITY_SEEDS = range(8)
+
+
+@functools.cache
+def fidelity_case(seed):
+    """One ray-cast world seen by both sensors: the WAYMO_64 scan matched to
+    NUSCENES_32, the native NUSCENES_32 scan, and the 25 cars."""
+    scans = load_scans()
+    rng = np.random.default_rng(seed)
+    cars = scans.place_cars(rng, 25)
+    source = scans.raycast_scan(rng, WAYMO_64, cars, DomainTag.SOURCE)
+    native = scans.raycast_scan(rng, NUSCENES_32, cars, DomainTag.TARGET_LABELED)
+    return lidar_distribution_match(source, WAYMO_64, NUSCENES_32), native, cars
+
+
+def in_source_vfov(scene):
+    el = spherical_from_xyz(scene.xyz)[:, 1]
+    return scene.xyz[(el >= WAYMO_64.vfov_min) & (el <= WAYMO_64.vfov_max)]
+
+
+class TestMatchFidelity:
+    """Matching a ray-cast WAYMO_64 scan to NUSCENES_32 against the native
+    NUSCENES_32 scan of the same world, seeds 0-7, compared only inside the
+    source VFOV: about 43% of a native scan lies outside it, and matching
+    cannot produce those returns.
+
+    Bounds, set from seeds 0-15 before any tuning and then checked on the
+    held-out seeds 16-47:
+    - matched points / native points inside the source VFOV, per seed, in
+      [0.99, 1.03] (seen 1.0007-1.0149; held out 1.0011-1.023);
+    - the set of target beam rows holding points is the same on both sides,
+      per seed (16 of 16, 14 rows each; held out 32 of 32);
+    - over the seeds, summed car points matched / native in [0.90, 1.05]
+      (seen 0.940 on seeds 0-7, 0.950 on 0-15; held-out windows of 8 seeds
+      0.950-0.978), and the median per-car ratio, over cars with a native
+      point, in [0.70, 1.10] (seen 0.802 on 0-7, 0.804 on 0-15; held out
+      0.83-0.92).
+    Cars get about 5% fewer points than natively, and far cars more (seeds
+    0-15 pooled: 0.97 at 6-20 m, 0.90 at 20-35 m, 0.71 at 35-50 m); the
+    cause is not known.
+    """
+
+    @pytest.mark.parametrize("seed", FIDELITY_SEEDS)
+    def test_point_budget_matches_inside_the_source_vfov(self, seed):
+        matched, native, _ = fidelity_case(seed)
+        assert 0.99 <= matched.n_points / len(in_source_vfov(native)) <= 1.03
+
+    @pytest.mark.parametrize("seed", FIDELITY_SEEDS)
+    def test_beam_rows_match_inside_the_source_vfov(self, seed):
+        matched, native, _ = fidelity_case(seed)
+
+        def rows(xyz):
+            el = spherical_from_xyz(xyz)[:, 1]
+            return set(np.floor((el - NUSCENES_32.vfov_min) / NUSCENES_32.row_pitch).astype(int).tolist())
+
+        assert rows(matched.xyz) == rows(in_source_vfov(native))
+
+    def test_car_points_match(self):
+        matched_counts, native_counts = [], []
+        for seed in FIDELITY_SEEDS:
+            matched, native, cars = fidelity_case(seed)
+            matched_counts.append(np.diff(assign_points(matched.xyz, cars)[0]))
+            native_counts.append(np.diff(assign_points(native.xyz, cars)[0]))
+        got, want = np.concatenate(matched_counts), np.concatenate(native_counts)
+        assert 0.90 <= got.sum() / want.sum() <= 1.05
+        seen = want > 0
+        assert 0.70 <= np.median(got[seen] / want[seen]) <= 1.10
