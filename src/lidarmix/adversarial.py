@@ -175,10 +175,14 @@ def adversarial_perturb_detailed(
         return Scene(scene.points.copy(), boxes, DomainTag.TARGET_UNLABELED, True), outcome
 
     _, field = provider.loss_and_gradient(scene, boxes)
+    if len(field.grads) != scene.n_points:
+        raise ValueError(f"{len(field.grads)} gradient rows for {scene.n_points} points")
     members = field.members or assign_points(scene.xyz, boxes)
     if len(members[0]) != len(boxes) + 1:
         raise ValueError(f"members have {len(members[0])} indptr entries for {len(boxes)} boxes")
     candidates = np.unique(members[1])
+    if candidates.size and (candidates[0] < 0 or candidates[-1] >= scene.n_points):
+        raise ValueError(f"members name points outside [0, {scene.n_points}), which would wrap")
     outcome.candidates = int(candidates.size)
     # perturbation_delta works row by row, so the candidate rows suffice.
     delta = perturbation_delta(GradientField(field.grads[candidates]), cfg.epsilon)

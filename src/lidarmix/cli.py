@@ -31,16 +31,15 @@ def _load_cfg(args) -> "lio.PipelineConfig":
         cfg = lio.load_config(args.config or Path(args.manifest) / "config.txt")
     else:
         cfg = lio.PipelineConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def _cmd_match(args) -> int:
     cfg = _load_cfg(args)
-    rng = seeded_rng(cfg.seed)
     scene = lio.read_cloud(args.cloud, DomainTag.SOURCE)
-    out = lidar_distribution_match(scene, cfg.source_spec, cfg.target_spec, rng, cfg.random_stride)
+    out = lidar_distribution_match(scene, cfg.source_spec, cfg.target_spec)
     lio.write_cloud(out, args.out)
     print(f"matched {scene.n_points} -> {out.n_points} points into {args.out}")
     return 0
@@ -55,9 +54,7 @@ def _cmd_mix(args) -> int:
     target = lio.read_cloud(args.target_cloud, DomainTag.TARGET_LABELED)
     if args.target_labels:
         target.boxes = lio.read_labels(args.target_labels)
-    matched = lidar_distribution_match(
-        source, cfg.source_spec, cfg.target_spec, rng, cfg.random_stride
-    )
+    matched = lidar_distribution_match(source, cfg.source_spec, cfg.target_spec)
     mask = sample_sectors(rng, cfg.sectors.k, cfg.sectors.min_width, cfg.sectors.max_width)
     mixed = polar_mix(matched, target, mask)
     lio.write_cloud(mixed, f"{args.out}.bin")
@@ -126,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="distribution-match a cloud between two sensor specs")
     p.add_argument("cloud")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match)
 

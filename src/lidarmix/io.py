@@ -163,7 +163,6 @@ _CONFIG_KEYS = {
     "mode_weight_add": "perturbation.mode_weights.1",
     "mode_weight_remove": "perturbation.mode_weights.2",
     "smooth_l1_knee": "smooth_l1_knee",
-    "random_stride": "random_stride",
     "augment_labeled": "augment_labeled",
 }
 

@@ -104,8 +104,10 @@ class GridClusterOracle:
             raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
         if not 0.0 < self.smooth_l1_knee < math.inf:
             raise ValueError(f"smooth_l1_knee must be finite and > 0, got {self.smooth_l1_knee}")
-        if not self.score_saturation > 0:
-            raise ValueError(f"score_saturation must be > 0, got {self.score_saturation}")
+        if not 0.0 < self.score_saturation < math.inf:
+            raise ValueError(f"score_saturation must be finite and > 0, got {self.score_saturation}")
+        if not (isinstance(self.min_points, (int, np.integer)) and self.min_points >= 1):
+            raise ValueError(f"min_points must be an integer >= 1, got {self.min_points!r}")
         if not 0.0 < self.min_box_size < math.inf:
             raise ValueError(f"min_box_size must be finite and > 0, got {self.min_box_size}")
 

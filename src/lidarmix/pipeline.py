@@ -61,7 +61,6 @@ class PipelineConfig:
     pseudo_score_threshold: float = 0.3
     seed: int = 0
     smooth_l1_knee: float = 1.0
-    random_stride: bool = False
     augment_labeled: bool = True
 
     def __post_init__(self):
@@ -190,12 +189,7 @@ def run_targetmix_stage(
     if not source_scenes or not target_labeled_scenes:
         raise EmptyDataset("stage 1 needs non-empty source and target-labeled sets")
     rng = seeded_rng(cfg.seed, 1)
-    matched = [
-        lidar_distribution_match(
-            s, cfg.source_spec, cfg.target_spec, rng=rng, random_stride=cfg.random_stride
-        )
-        for s in source_scenes
-    ]
+    matched = [lidar_distribution_match(s, cfg.source_spec, cfg.target_spec) for s in source_scenes]
     report = StageReport("targetmix", cfg.seed)
     for epoch in range(1, cfg.epochs_tm + 1):
         stats = EpochStats(epoch=epoch)

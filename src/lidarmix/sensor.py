@@ -2,9 +2,10 @@
 
 A scan is rasterized into a range image and back-projected to Cartesian
 points. Integer strides derived from the channel / points-per-channel /
-VFOV ratios of the two sensors pick the lattice of source cells to keep:
-the build rasterizes points in those cells straight onto the target-size
-grid and drops every other point before the per-cell nearest-range sort.
+VFOV ratios of the two sensors, and the row phase nearest the target's
+beams, pick the lattice of source cells to keep: the build rasterizes
+points in those cells straight onto the target-size grid and drops every
+other point before the per-cell nearest-range sort.
 The chain adjusts beam count, points per channel, and vertical field of
 view so a source-domain scan statistically matches a target sensor.
 """
@@ -204,6 +205,22 @@ def downsample_factors(src: SensorSpec, tgt: SensorSpec) -> tuple[int, int]:
     return v, h
 
 
+def _nearest_row_offset(src: SensorSpec, tgt: SensorSpec, v: int) -> int:
+    """The row offset in range(v) whose kept source-row centres lie nearest
+    the target's beam centres, by mean distance in target row pitches; ties,
+    within rounding, go to the smallest. Offsets past the last source row
+    keep no row and are not tried."""
+    # source row r's centre is first + r * step pitches above tgt's lowest beam
+    step = src.row_pitch / tgt.row_pitch
+    first = (src.vfov_min - tgt.vfov_min) / tgt.row_pitch + 0.5 * step - 0.5
+
+    def mean_miss(offset: int) -> float:
+        beams = [first + row * step for row in range(offset, src.channels, v)]
+        return round(sum([abs(b - round(b)) for b in beams]) / len(beams), 9)
+
+    return min(range(min(v, src.channels)), key=mean_miss)
+
+
 def downsample_range_image(
     img: RangeImage, v: int, h: int, row_offset: int = 0, col_offset: int = 0
 ) -> RangeImage:
@@ -232,32 +249,19 @@ def backproject(img: RangeImage, domain_tag: DomainTag = DomainTag.SOURCE) -> Sc
     return Scene(pts, [], domain_tag)
 
 
-def lidar_distribution_match(
-    scene: Scene,
-    src: SensorSpec,
-    tgt: SensorSpec,
-    rng: np.random.Generator | None = None,
-    random_stride: bool = False,
-) -> Scene:
+def lidar_distribution_match(scene: Scene, src: SensorSpec, tgt: SensorSpec) -> Scene:
     """Resample a source-domain scene so its beam count, points per
     channel, and VFOV match the target sensor.
 
     Composition: build_range_image -> backproject, where the strided build
-    writes straight onto the target-size lattice. The labels are the
-    source's immutable BoxSet, shared even for boxes emptied of points.
-    With random_stride the stride offsets are drawn per scene from rng
-    (required then) for training diversity instead of always starting at
-    index 0.
+    writes straight onto the target-size lattice. The kept rows start at
+    the offset that puts them nearest the target's beams; the kept columns
+    start at 0. The labels are the source's immutable BoxSet, shared even
+    for boxes emptied of points.
     """
     if scene.domain_tag is not DomainTag.SOURCE:
         raise ValueError(f"expected a SOURCE-tagged scene, got {scene.domain_tag}")
-    if random_stride and rng is None:
-        raise ValueError("random_stride needs an rng to draw the stride offsets from")
     v, h = downsample_factors(src, tgt)
-    row_offset = col_offset = 0
-    if random_stride:
-        row_offset = int(rng.integers(v))
-        col_offset = int(rng.integers(h))
-    out = backproject(build_range_image(scene, src, v, h, row_offset, col_offset))
+    out = backproject(build_range_image(scene, src, v, h, _nearest_row_offset(src, tgt, v)))
     out.boxes = scene.boxes
     return out

@@ -260,6 +260,26 @@ class ShortMembersProvider(SurrogateProvider):
         return loss, GradientField(field.grads, (indptr[:-1], indices))
 
 
+class PaddedFieldProvider(SurrogateProvider):
+    """Surrogate loss whose gradient field carries 5 extra rows."""
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = super().loss_and_gradient(scene, boxes)
+        return loss, GradientField(np.vstack([np.ones((5, 3)), field.grads]), field.members)
+
+
+class WrappingMembersProvider(SurrogateProvider):
+    """Surrogate loss whose members name point -1, which numpy would wrap
+    onto the last point."""
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = super().loss_and_gradient(scene, boxes)
+        indptr, indices = field.members
+        indices = indices.copy()
+        indices[0] = -1
+        return loss, GradientField(field.grads, (indptr, indices))
+
+
 def reference_perturb(scene, boxes, provider, cfg, rng):
     """Per-selected-point reference for adversarial_perturb_detailed with
     the same draws: remove counts every selected point, translate and add
@@ -419,6 +439,22 @@ class TestAdversarialPerturb:
         with pytest.raises(ValueError, match=r"\b3 indptr entries for 3 boxes"):
             adversarial_perturb_detailed(
                 bare, scene.boxes, ShortMembersProvider(), PerturbationConfig(), rng
+            )
+
+    def test_rejects_field_of_another_size(self, rng):
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        with pytest.raises(ValueError, match=rf"{bare.n_points + 5} gradient rows for {bare.n_points} points"):
+            adversarial_perturb_detailed(
+                bare, scene.boxes, PaddedFieldProvider(), PerturbationConfig(), rng
+            )
+
+    def test_rejects_members_outside_the_scene(self, rng):
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        with pytest.raises(ValueError, match="members name points outside"):
+            adversarial_perturb_detailed(
+                bare, scene.boxes, WrappingMembersProvider(), PerturbationConfig(), rng
             )
 
     def test_no_boxes_is_noop(self, rng):

@@ -12,12 +12,12 @@ import pytest
 from lidarmix.pipeline import PipelineConfig, run_full
 from lidarmix.synth import synthesize_dataset
 
-DEFAULT_PIPELINE_SHA256 = "6117cf462b72d74ddedc12db26fd2131a6102e1fdb7f5317dc322287157566a0"
+DEFAULT_PIPELINE_SHA256 = "c503074a3a5734b27d1777a1d94e87961f55ba0c0ff74ba356ca9f63dfc3bc1e"
 STAGE_SHA256 = {
-    "targetmix": "a938b9725c12fb890a23890a038eca1e40eceb5f80df7275f82e44c4c9623f77",
+    "targetmix": "6bcf712c46303f6cfd73a88d32623aa8671afdefbdcaa7207479a22b9cdd647d",
     "advmix": "3d9d260c5e8650be2be4e238d73bc3aeb8ee2f5df1507686e46adde5c1c01318",
 }
-SEED1_PIPELINE_SHA256 = "3aea6587367336fac1cb8c0c4eb9c5a0fb8875c65c89f4b44a558740b60250ca"
+SEED1_PIPELINE_SHA256 = "ae6b23c90edc2fd87bd8d372149b2f7112058365f1612b7680b831ca3f21f7e4"
 
 
 def sha256(report: dict) -> str:

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import os
+import re
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,7 +260,7 @@ class TestConfig:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_custom_round_trip(self):
-        cfg = PipelineConfig(p_tm=0.25, seed=99, epochs_tm=3, random_stride=True)
+        cfg = PipelineConfig(p_tm=0.25, seed=99, epochs_tm=3, augment_labeled=False)
         assert parse_config(format_config(cfg)) == cfg
 
     def test_float_precision_survives_save_and_load(self, tmp_path):
@@ -295,6 +297,16 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("not_a_key = 3\n")
+        # matching derives its stride offsets from the two specs
+        with pytest.raises(ConfigError, match="unknown key 'random_stride'"):
+            parse_config("random_stride = false\n")
+
+    def test_readme_table_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        named = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(named) == sorted(_CONFIG_KEYS)
 
     @pytest.mark.parametrize(
         "line",
@@ -397,8 +409,7 @@ class TestConfig:
             values[key] = data.draw(unit)
         for key in ("k_sectors", "epochs_tm", "epochs_am"):
             values[key] = data.draw(st.integers(1, 8))
-        for key in ("random_stride", "augment_labeled"):
-            values[key] = "true" if data.draw(st.booleans()) else "false"
+        values["augment_labeled"] = "true" if data.draw(st.booleans()) else "false"
         values["lambda"] = data.draw(st.floats(0.0, 1e6))
         values["epsilon"] = data.draw(st.floats(1e-12, 10.0))
         values["smooth_l1_knee"] = data.draw(st.floats(1e-12, 1e3))
@@ -415,7 +426,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("epochs_tm = many\n")
         with pytest.raises(ConfigError):
-            parse_config("random_stride = maybe\n")
+            parse_config("augment_labeled = maybe\n")
 
     def test_degrees_converted_once(self):
         cfg = parse_config("source_vfov_min_deg = -17.6\n")

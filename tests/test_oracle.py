@@ -95,6 +95,21 @@ class TestGridClusterOracle:
         with pytest.raises(ValueError, match="score_saturation"):
             GridClusterOracle(score_saturation=saturation)
 
+    @pytest.mark.parametrize("saturation", [np.inf, np.nan])
+    def test_rejects_non_finite_score_saturation(self, saturation):
+        # an infinite saturation scores every box 0, so pseudo-labelling
+        # would silently drop them all
+        with pytest.raises(ValueError, match="score_saturation must be finite and > 0"):
+            GridClusterOracle(score_saturation=saturation)
+
+    @pytest.mark.parametrize("min_points", [0, -3, np.nan, 2.5, 5.0])
+    def test_rejects_min_points_not_a_positive_integer(self, min_points):
+        with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
+            GridClusterOracle(min_points=min_points)
+
+    def test_accepts_numpy_integer_min_points(self):
+        assert GridClusterOracle(min_points=np.int64(3)).min_points == 3
+
     @pytest.mark.parametrize("cell_size", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_cell_size_not_finite_positive(self, cell_size):
         # such a grid used to bin a whole scene into one ~108 m box

@@ -179,6 +179,38 @@ class TestDownsampleFactors:
         assert h_ab * h_ba == pytest.approx(1.0, rel=1e-12)
 
 
+class TestNearestRowOffset:
+    def test_published_sensor_pair(self):
+        # Offset 0 keeps WAYMO_64 rows 0.455 of a NUSCENES_32 pitch off its
+        # beams; offset 2 keeps them 0.045 off.
+        assert sensor._nearest_row_offset(WAYMO_64, NUSCENES_32, 4) == 2
+
+    def test_unit_stride_keeps_every_row(self):
+        assert sensor._nearest_row_offset(WAYMO_64, NUSCENES_32, 1) == 0
+        assert sensor._nearest_row_offset(SMALL, SMALL, 1) == 0
+
+    def test_tie_goes_to_smallest_offset(self):
+        # source rows at -0.375, -0.125, 0.125, 0.375 about one beam at 0:
+        # both offsets keep rows 1/16 and 3/16 of a target pitch off
+        src, tgt = SensorSpec(4, 64, -0.5, 0.5), SensorSpec(1, 64, -1.0, 1.0)
+        assert sensor._nearest_row_offset(src, tgt, 2) == 0
+        # shift the beam onto row 3 and offset 1 wins
+        assert sensor._nearest_row_offset(src, SensorSpec(1, 64, -0.625, 1.375), 2) == 1
+
+    def test_stride_past_the_last_row_keeps_a_row(self):
+        src, tgt = SensorSpec(2, 64, -0.1, 0.1), SensorSpec(1, 64, -1.0, 1.0)
+        v, _ = downsample_factors(src, tgt)
+        assert v == 20 and sensor._nearest_row_offset(src, tgt, v) == 0
+        scene = scene_from_spherical(all_cell_centers(src))
+        assert lidar_distribution_match(scene, src, tgt).n_points == 64
+
+    def test_matched_rows_sit_on_the_target_beams(self):
+        scene = scene_from_spherical(all_cell_centers(WAYMO_64))
+        el = spherical_from_xyz(lidar_distribution_match(scene, WAYMO_64, NUSCENES_32).xyz)[:, 1]
+        beams = (el - NUSCENES_32.vfov_min) / NUSCENES_32.row_pitch - 0.5
+        assert np.abs(beams - np.round(beams)).max() == pytest.approx(0.045, abs=1e-9)
+
+
 class TestDownsampleRangeImage:
     def test_unit_factors_unchanged(self, rng):
         scene = scene_from_spherical(all_cell_centers(SMALL))
@@ -354,25 +386,7 @@ class TestDistributionMatch:
         got_el = spherical_from_xyz(out.xyz)[0, 1]
         assert abs(got_el - el) <= NUSCENES_32.row_pitch / 2 + 1e-12
 
-    def test_random_stride_stays_deterministic(self, rng):
-        n = 400
-        aer = np.column_stack(
-            [
-                rng.uniform(0, 2 * math.pi, n),
-                rng.uniform(WAYMO_64.vfov_min, WAYMO_64.vfov_max, n),
-                rng.uniform(2.0, 80.0, n),
-            ]
-        )
-        scene = scene_from_spherical(aer)
-        out1 = lidar_distribution_match(
-            scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(3), random_stride=True
-        )
-        out2 = lidar_distribution_match(
-            scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(3), random_stride=True
-        )
-        assert np.array_equal(out1.points, out2.points)
-
-    def test_each_stage_called_once_on_the_whole_scene(self, rng, monkeypatch):
+    def test_each_stage_called_once_on_the_whole_scene(self, monkeypatch):
         # Matching is build -> backproject. downsample_range_image is off
         # the path, so the benchmark trace entry of that name reads 0, and
         # a stage matching bypassed would read 0 in its entry too.
@@ -387,17 +401,14 @@ class TestDistributionMatch:
 
             monkeypatch.setattr(sensor, name, counted)
         scene = scene_from_spherical(all_cell_centers(WAYMO_64))
-        out = lidar_distribution_match(
-            scene, WAYMO_64, NUSCENES_32, rng=np.random.default_rng(5), random_stride=True
-        )
+        out = lidar_distribution_match(scene, WAYMO_64, NUSCENES_32)
         assert {name: len(c) for name, c in calls.items()} == {
             "build_range_image": 1,
             "backproject": 1,
         }
         ((built_from, spec, *strides), built), = calls["build_range_image"]
         assert built_from is scene and built_from.n_points == 64 * 2200
-        assert spec == WAYMO_64 and strides[:2] == [4, 2]
-        assert 0 <= strides[2] < 4 and 0 <= strides[3] < 2
+        assert spec == WAYMO_64 and strides == [4, 2, 2]
         ((projected, *_), _), = calls["backproject"]
         assert projected is built
         assert out.n_points == scene.n_points // 8
@@ -416,11 +427,6 @@ class TestDistributionMatch:
         assert out.n_points == scene.n_points // 8
         assert shapes == [(16, 1100)]
 
-    def test_random_stride_requires_rng(self, rng):
-        scene = scene_from_spherical([[0.5, 0.0, 10.0]])
-        with pytest.raises(ValueError, match="random_stride"):
-            lidar_distribution_match(scene, WAYMO_64, NUSCENES_32, random_stride=True)
-
 
 FIDELITY_SEEDS = range(8)
 
@@ -437,6 +443,17 @@ def fidelity_case(seed):
     return lidar_distribution_match(source, WAYMO_64, NUSCENES_32), native, cars
 
 
+@functools.cache
+def car_point_counts():
+    """Points per car over FIDELITY_SEEDS: matched, then native."""
+    matched_counts, native_counts = [], []
+    for seed in FIDELITY_SEEDS:
+        matched, native, cars = fidelity_case(seed)
+        matched_counts.append(np.diff(assign_points(matched.xyz, cars)[0]))
+        native_counts.append(np.diff(assign_points(native.xyz, cars)[0]))
+    return np.concatenate(matched_counts), np.concatenate(native_counts)
+
+
 def in_source_vfov(scene):
     el = spherical_from_xyz(scene.xyz)[:, 1]
     return scene.xyz[(el >= WAYMO_64.vfov_min) & (el <= WAYMO_64.vfov_max)]
@@ -448,26 +465,29 @@ class TestMatchFidelity:
     source VFOV: about 43% of a native scan lies outside it, and matching
     cannot produce those returns.
 
-    Bounds, set from seeds 0-15 before any tuning and then checked on the
-    held-out seeds 16-47:
+    Bounds, set from seeds 0-15 and then checked on the held-out seeds
+    16-47:
     - matched points / native points inside the source VFOV, per seed, in
-      [0.99, 1.03] (seen 1.0007-1.0149; held out 1.0011-1.023);
+      [0.99, 1.01] (seen 0.9972-1.0019; held out 0.9934-1.0028);
     - the set of target beam rows holding points is the same on both sides,
       per seed (16 of 16, 14 rows each; held out 32 of 32);
-    - over the seeds, summed car points matched / native in [0.90, 1.05]
-      (seen 0.940 on seeds 0-7, 0.950 on 0-15; held-out windows of 8 seeds
-      0.950-0.978), and the median per-car ratio, over cars with a native
-      point, in [0.70, 1.10] (seen 0.802 on 0-7, 0.804 on 0-15; held out
-      0.83-0.92).
-    Cars get about 5% fewer points than natively, and far cars more (seeds
-    0-15 pooled: 0.97 at 6-20 m, 0.90 at 20-35 m, 0.71 at 35-50 m); the
-    cause is not known.
+    - over the seeds, summed car points matched / native in [0.93, 1.05]
+      (seen 0.954 on seeds 0-7, 0.969 on 0-15; held-out windows of 8 seeds
+      0.972-0.994), and the median per-car ratio, over cars with a native
+      point, in [0.90, 1.10] (seen 0.935 on 0-7, 0.963 on 0-15; held-out
+      windows 0.945-1.000);
+    - at most 3% of the cars with a native point get no matched point (seen
+      1 of 170 on 0-7, 4 of 340 on 0-15; held out 18 of 719, at most 5 of
+      ~180 per window of 8 seeds).
+    Cars get about 3% fewer points than natively, all of it near ones
+    (seeds 0-15 pooled: 0.96 at 6-20 m, 1.00 at 20-35 m and at 35-50 m);
+    against the native points inside the source VFOV, near cars get 0.98.
     """
 
     @pytest.mark.parametrize("seed", FIDELITY_SEEDS)
     def test_point_budget_matches_inside_the_source_vfov(self, seed):
         matched, native, _ = fidelity_case(seed)
-        assert 0.99 <= matched.n_points / len(in_source_vfov(native)) <= 1.03
+        assert 0.99 <= matched.n_points / len(in_source_vfov(native)) <= 1.01
 
     @pytest.mark.parametrize("seed", FIDELITY_SEEDS)
     def test_beam_rows_match_inside_the_source_vfov(self, seed):
@@ -480,12 +500,12 @@ class TestMatchFidelity:
         assert rows(matched.xyz) == rows(in_source_vfov(native))
 
     def test_car_points_match(self):
-        matched_counts, native_counts = [], []
-        for seed in FIDELITY_SEEDS:
-            matched, native, cars = fidelity_case(seed)
-            matched_counts.append(np.diff(assign_points(matched.xyz, cars)[0]))
-            native_counts.append(np.diff(assign_points(native.xyz, cars)[0]))
-        got, want = np.concatenate(matched_counts), np.concatenate(native_counts)
-        assert 0.90 <= got.sum() / want.sum() <= 1.05
+        got, want = car_point_counts()
+        assert 0.93 <= got.sum() / want.sum() <= 1.05
         seen = want > 0
-        assert 0.70 <= np.median(got[seen] / want[seen]) <= 1.10
+        assert 0.90 <= np.median(got[seen] / want[seen]) <= 1.10
+
+    def test_few_seen_cars_get_no_matched_point(self):
+        got, want = car_point_counts()
+        seen = want > 0
+        assert np.count_nonzero(got[seen] == 0) <= 0.03 * np.count_nonzero(seen)
