@@ -83,15 +83,14 @@ class GradientProvider(Protocol):
     ) -> tuple[float, GradientField]: ...
 
 
-def surrogate_loss(
-    scene: Scene, boxes: Sequence[Box3D], knee: float = 1.0
-) -> tuple[float, GradientField]:
+def surrogate_loss(scene: Scene, boxes: Sequence[Box3D]) -> tuple[float, GradientField]:
     """Centroid-alignment detection loss with analytic gradient.
 
     Per box, the in-box points' centroid is expressed in the box frame and
-    its distance to the box center is penalized with smooth-L1; the loss is
-    the mean over boxes (empty boxes contribute 0). The returned field is
-    the exact gradient with respect to each point's world coordinates,
+    its distance r to the box center is penalized with smooth-L1, knee at
+    1 m: r^2 / 2 below 1, r - 1/2 from 1 on. The loss is the mean over
+    boxes (empty boxes contribute 0). The returned field is the exact
+    gradient with respect to each point's world coordinates,
     zero for points outside every box. The in-box points of all boxes and
     their box-frame coordinates come from one `assign_points` pass, whose
     `(indptr, indices)` the field returns as `members`.
@@ -99,8 +98,6 @@ def surrogate_loss(
     boxes = BoxSet.of(boxes)
     if not len(boxes):
         raise EmptyBoxList("surrogate loss needs at least one box")
-    if not 0.0 < knee < math.inf:
-        raise ValueError(f"knee must be finite and > 0, got {knee}")
     grads = np.zeros((scene.n_points, 3))
     total = 0.0
     indptr, indices, local = _assign_local(scene.xyz, boxes)
@@ -112,11 +109,11 @@ def surrogate_loss(
         # bit for bit, without their Python overhead.
         centroid = np.add.reduce(local[start:stop]) / (stop - start)
         r = math.sqrt(centroid @ centroid)
-        if r < knee:
-            total += 0.5 * r * r / knee
-            slope = r / knee
+        if r < 1.0:
+            total += 0.5 * r * r
+            slope = r
         else:
-            total += r - 0.5 * knee
+            total += r - 0.5
             slope = 1.0
         if r > 0.0:
             # d(loss)/d(centroid), then chain through the mean and rotation.

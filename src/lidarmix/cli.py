@@ -68,7 +68,7 @@ def _cmd_adv(args) -> int:
     rng = seeded_rng(cfg.seed)
     scene = lio.read_cloud(args.cloud, DomainTag.TARGET_UNLABELED)
     boxes = lio.read_labels(args.labels)
-    provider = GridClusterOracle(smooth_l1_knee=cfg.smooth_l1_knee)
+    provider = GridClusterOracle()
     out, _ = adversarial_perturb_detailed(scene, boxes, provider, cfg.perturbation, rng)
     lio.write_cloud(out, f"{args.out}.bin")
     lio.write_labels(out.boxes, f"{args.out}.txt")

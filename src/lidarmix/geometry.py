@@ -18,6 +18,12 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1, before it can fail mid-run."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class NonPositiveScale(ValueError):
     """Rigid-transform scale must be strictly positive."""
 

@@ -21,7 +21,7 @@ DEFAULT_STEP = 1e-5
 
 
 def finite_difference_gradient(
-    scene: Scene, boxes: Sequence[Box3D], step: float = DEFAULT_STEP, knee: float = 1.0
+    scene: Scene, boxes: Sequence[Box3D], step: float = DEFAULT_STEP
 ) -> np.ndarray:
     grads = np.zeros((scene.n_points, 3))
     for i in range(scene.n_points):
@@ -30,31 +30,29 @@ def finite_difference_gradient(
             plus[i, axis] += step
             minus = scene.points.copy()
             minus[i, axis] -= step
-            lp, _ = surrogate_loss(Scene(plus, [], scene.domain_tag), boxes, knee)
-            lm, _ = surrogate_loss(Scene(minus, [], scene.domain_tag), boxes, knee)
+            lp, _ = surrogate_loss(Scene(plus, [], scene.domain_tag), boxes)
+            lm, _ = surrogate_loss(Scene(minus, [], scene.domain_tag), boxes)
             grads[i, axis] = (lp - lm) / (2.0 * step)
     return grads
 
 
 def gradient_relative_error(
-    scene: Scene, boxes: Sequence[Box3D], step: float = DEFAULT_STEP, knee: float = 1.0
+    scene: Scene, boxes: Sequence[Box3D], step: float = DEFAULT_STEP
 ) -> float:
     """Max-norm relative error of the analytic gradient against central
     finite differences."""
-    _, field = surrogate_loss(scene, boxes, knee)
-    reference = finite_difference_gradient(scene, boxes, step, knee)
+    _, field = surrogate_loss(scene, boxes)
+    reference = finite_difference_gradient(scene, boxes, step)
     scale = max(float(np.abs(reference).max(initial=0.0)), 1e-12)
     return float(np.abs(field.grads - reference).max(initial=0.0)) / scale
 
 
-def make_gradcheck_fixture(
-    rng: np.random.Generator, knee: float = 1.0
-) -> tuple[Scene, list[Box3D]]:
+def make_gradcheck_fixture(rng: np.random.Generator) -> tuple[Scene, list[Box3D]]:
     """Random scene/box fixture conditioned for finite differencing.
 
     Points keep a margin from every box face so a +-step displacement never
-    flips containment, and centroids stay off the smooth-L1 knee where the
-    second derivative jumps.
+    flips containment, and centroids stay 0.02 m off the smooth-L1 knee at
+    1 m, where the second derivative jumps.
     """
     margin = 0.05
     n_boxes = int(rng.integers(1, 4))
@@ -75,7 +73,7 @@ def make_gradcheck_fixture(
         n_in = int(rng.integers(3, 9))
         while True:
             local = rng.uniform(-half, half, size=(n_in, 3))
-            if abs(float(np.linalg.norm(local.mean(axis=0))) - knee) > 0.02:
+            if abs(float(np.linalg.norm(local.mean(axis=0))) - 1.0) > 0.02:
                 break
         world = center + local @ box.rotation().T
         rows.append(np.column_stack([world, rng.uniform(0.0, 1.0, size=n_in)]))
@@ -96,13 +94,11 @@ def make_gradcheck_fixture(
     return scene, boxes
 
 
-def run_gradcheck(
-    seed: int = 0, trials: int = 50, step: float = DEFAULT_STEP, knee: float = 1.0
-) -> float:
+def run_gradcheck(seed: int = 0, trials: int = 50, step: float = DEFAULT_STEP) -> float:
     """Max relative gradient error over a batch of random fixtures."""
     rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        scene, boxes = make_gradcheck_fixture(rng, knee)
-        worst = max(worst, gradient_relative_error(scene, boxes, step, knee))
+        scene, boxes = make_gradcheck_fixture(rng)
+        worst = max(worst, gradient_relative_error(scene, boxes, step))
     return worst

@@ -162,7 +162,6 @@ _CONFIG_KEYS = {
     "mode_weight_translate": "perturbation.mode_weights.0",
     "mode_weight_add": "perturbation.mode_weights.1",
     "mode_weight_remove": "perturbation.mode_weights.2",
-    "smooth_l1_knee": "smooth_l1_knee",
     "augment_labeled": "augment_labeled",
 }
 

@@ -20,7 +20,10 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .adversarial import GradientField, GradientProvider, surrogate_loss
-from .geometry import Box3D, BoxSet, Scene
+from .geometry import Box3D, BoxSet, Scene, _check_count
+
+_MIN_BOX_SIZE = 0.1  # meters, the floor of every box size
+_SCORE_SATURATION = 50  # points from which a cluster scores 1
 
 
 class DetectorOracle(GradientProvider, Protocol):
@@ -87,29 +90,22 @@ class GridClusterOracle:
 
     Points are binned into cell_size cells in the xy-plane; 8-connected
     components of occupied cells with at least min_points members become
-    axis-aligned boxes with score = min(1, points / score_saturation).
-    Boxes come out in the raster order (x cell, then y cell) of each
-    component's first cell. The scene extent is limited only by the int64
-    raster keys of its cells; a scene whose keys would overflow is refused.
+    axis-aligned boxes with sizes floored at 0.1 m and score
+    min(1, points / 50), so pseudo_score_threshold = t keeps the clusters
+    of at least 50 * t points. The loss is `surrogate_loss`, a smooth-L1
+    with its knee at 1 m in the box frame. Boxes come out in the raster
+    order (x cell, then y cell) of each component's first cell. The scene
+    extent is limited only by the int64 raster keys of its cells; a scene
+    whose keys would overflow is refused.
     """
 
     cell_size: float = 1.0
     min_points: int = 5
-    score_saturation: int = 50
-    smooth_l1_knee: float = 1.0
-    min_box_size: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.cell_size < math.inf:
             raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
-        if not 0.0 < self.smooth_l1_knee < math.inf:
-            raise ValueError(f"smooth_l1_knee must be finite and > 0, got {self.smooth_l1_knee}")
-        if not 0.0 < self.score_saturation < math.inf:
-            raise ValueError(f"score_saturation must be finite and > 0, got {self.score_saturation}")
-        if not (isinstance(self.min_points, (int, np.integer)) and self.min_points >= 1):
-            raise ValueError(f"min_points must be an integer >= 1, got {self.min_points!r}")
-        if not 0.0 < self.min_box_size < math.inf:
-            raise ValueError(f"min_box_size must be finite and > 0, got {self.min_box_size}")
+        _check_count("min_points", self.min_points)
 
     def predict(self, scene: Scene) -> BoxSet:
         """One sort of the cell keys gives the occupied cells and each point's
@@ -146,8 +142,8 @@ class GridClusterOracle:
             raise ValueError("scene has non-finite point coordinates")
         keep = counts >= self.min_points
         mn, mx, counts = mn[:, keep].T, mx[:, keep].T, counts[keep]
-        sizes = np.maximum(mx - mn, self.min_box_size)
-        scores = np.minimum(1.0, counts / self.score_saturation)
+        sizes = np.maximum(mx - mn, _MIN_BOX_SIZE)
+        scores = np.minimum(1.0, counts / _SCORE_SATURATION)
         # One BoxSet row per box: center, (w, l, h) = the (y, x, z) sizes,
         # yaw 0, class 0, then the score.
         zeros = np.zeros((len(scores), 2))
@@ -156,7 +152,7 @@ class GridClusterOracle:
     def loss_and_gradient(
         self, scene: Scene, boxes: Sequence[Box3D]
     ) -> tuple[float, GradientField]:
-        return surrogate_loss(scene, boxes, knee=self.smooth_l1_knee)
+        return surrogate_loss(scene, boxes)
 
     def clone(self) -> "GridClusterOracle":
         return dataclasses.replace(self)

@@ -28,7 +28,7 @@ from .adversarial import (
     advmix_sample,
     consistency_loss,
 )
-from .geometry import BoxSet, DomainTag, Scene, apply_rigid_transform
+from .geometry import BoxSet, DomainTag, Scene, _check_count, apply_rigid_transform
 from .oracle import DetectorOracle, GridClusterOracle
 from .sector_mix import SectorParams, targetmix_sample
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
@@ -60,7 +60,6 @@ class PipelineConfig:
     epochs_am: int = 1
     pseudo_score_threshold: float = 0.3
     seed: int = 0
-    smooth_l1_knee: float = 1.0
     augment_labeled: bool = True
 
     def __post_init__(self):
@@ -70,11 +69,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
-        if self.epochs_tm < 1 or self.epochs_am < 1:
-            raise ValueError("epoch counts must be >= 1")
-        if not 0.0 < self.smooth_l1_knee < math.inf:
-            raise ValueError(f"smooth_l1_knee must be finite and > 0, got {self.smooth_l1_knee}")
-        _check_seed(self.seed)
+        _check_count("epochs_tm", self.epochs_tm)
+        _check_count("epochs_am", self.epochs_am)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass
@@ -117,17 +114,19 @@ class PseudoLabelStats:
     discarded: int = 0
 
 
-def _check_seed(seed: int) -> None:
-    if not -(1 << 63) <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [-2**63, 2**64), got {seed}")
+def _check_seed(seed: int) -> int:
+    """The seed as a Python int, which JSON reports need; ValueError unless
+    it is an integer in [-2**63, 2**64)."""
+    if not (isinstance(seed, (int, np.integer)) and -(1 << 63) <= int(seed) < 1 << 64):
+        raise ValueError(f"seed must be an integer in [-2**63, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def seeded_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """Every random stream in the package starts here. A seed is in [-2**63,
     2**64); a negative one selects the stream of its unsigned 64-bit twin, a
     non-negative one with no spawn key gives default_rng(seed)."""
-    _check_seed(seed)
-    entropy = seed & 0xFFFFFFFFFFFFFFFF
+    entropy = _check_seed(seed) & 0xFFFFFFFFFFFFFFFF
     return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))
 
 
@@ -310,7 +309,7 @@ def run_full(
     empty = [role for role, scenes in vars(datasets).items() if not scenes]
     if empty:
         raise EmptyDataset(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
-    teacher = oracle if oracle is not None else GridClusterOracle(smooth_l1_knee=cfg.smooth_l1_knee)
+    teacher = oracle if oracle is not None else GridClusterOracle()
     report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, teacher)
     stats = PseudoLabelStats()
     pseudo = generate_pseudo_labels(

@@ -22,6 +22,7 @@ from .geometry import (
     DomainTag,
     Scene,
     _azimuth,
+    _check_count,
     assign_points,
     wrap_azimuth,
 )
@@ -40,8 +41,7 @@ class SectorParams:
     max_width: float = math.pi / 2
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_count("k", self.k)
         if not 0.0 < self.min_width <= self.max_width < math.inf:
             raise ValueError(
                 f"need finite 0 < min_width <= max_width, got ({self.min_width}, {self.max_width})"

@@ -12,6 +12,7 @@ view so a source-domain scan statistically matches a target sensor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .geometry import (
     DomainTag,
     Scene,
     _azimuth,
+    _check_count,
     xyz_from_spherical,
 )
 
@@ -43,10 +45,8 @@ class SensorSpec:
     vfov_max: float
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.points_per_channel < 1:
-            raise ValueError(f"points_per_channel must be >= 1, got {self.points_per_channel}")
+        _check_count("channels", self.channels)
+        _check_count("points_per_channel", self.points_per_channel)
         if not -math.inf < self.vfov_min < self.vfov_max < math.inf:
             raise ValueError(
                 f"need finite vfov_min < vfov_max, got [{self.vfov_min}, {self.vfov_max}]"
@@ -205,11 +205,12 @@ def downsample_factors(src: SensorSpec, tgt: SensorSpec) -> tuple[int, int]:
     return v, h
 
 
+@functools.cache
 def _nearest_row_offset(src: SensorSpec, tgt: SensorSpec, v: int) -> int:
     """The row offset in range(v) whose kept source-row centres lie nearest
     the target's beam centres, by mean distance in target row pitches; ties,
     within rounding, go to the smallest. Offsets past the last source row
-    keep no row and are not tried."""
+    keep no row and are not tried. Cached: it depends on the specs alone."""
     # source row r's centre is first + r * step pitches above tgt's lowest beam
     step = src.row_pitch / tgt.row_pitch
     first = (src.vfov_min - tgt.vfov_min) / tgt.row_pitch + 0.5 * step - 0.5
@@ -258,6 +259,10 @@ def lidar_distribution_match(scene: Scene, src: SensorSpec, tgt: SensorSpec) -> 
     the offset that puts them nearest the target's beams; the kept columns
     start at 0. The labels are the source's immutable BoxSet, shared even
     for boxes emptied of points.
+
+    A target VFOV reaching past the source's gets no warning: the default
+    pair always does, for about 43% of native NUSCENES_32 returns, so the
+    warning would fire on every scene.
     """
     if scene.domain_tag is not DomainTag.SOURCE:
         raise ValueError(f"expected a SOURCE-tagged scene, got {scene.domain_tag}")

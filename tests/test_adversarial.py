@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,24 +27,29 @@ from lidarmix.pipeline import PipelineConfig, run_advmix_stage
 
 
 class SurrogateProvider:
-    def __init__(self, knee=1.0):
-        self.knee = knee
-
     def loss_and_gradient(self, scene, boxes):
-        return surrogate_loss(scene, boxes, self.knee)
+        return surrogate_loss(scene, boxes)
+
+
+def off_center(rng, boxes):
+    """Each box moved 0 to 2.5 m along its heading axis and lengthened to
+    keep its old footprint, so its centroid offset falls below or above
+    the smooth-L1 knee at 1 m."""
+    offsets = rng.uniform(0.0, 2.5, size=len(boxes))
+    return [
+        dataclasses.replace(b, cx=b.cx + d, l=b.l + 2.0 * d) for b, d in zip(boxes, offsets)
+    ]
+
+
+def reference_smooth_l1(r):
+    """Loss and slope of smooth-L1 with its knee at 1."""
+    return (0.5 * r * r, r) if r < 1.0 else (r - 0.5, 1.0)
 
 
 class TestSurrogateLoss:
     def test_requires_boxes(self):
         with pytest.raises(EmptyBoxList):
             surrogate_loss(Scene.empty(), [])
-
-    @pytest.mark.parametrize("knee", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_knee_not_finite_positive(self, knee):
-        box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.0)
-        scene = Scene(np.array([[5.4, 0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match="knee must be finite and > 0"):
-            surrogate_loss(scene, [box], knee)
 
     def test_symmetric_points_zero_loss(self):
         box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.3)
@@ -90,7 +97,9 @@ class TestSurrogateLoss:
 
     def test_matches_per_box_reference(self):
         # the loss loop as it was before the shared assignment, bit for bit
-        def reference(scene, boxes, knee=1.0):
+        offsets = []
+
+        def reference(scene, boxes):
             grads = np.zeros((scene.n_points, 3))
             total = 0.0
             for box in boxes:
@@ -101,9 +110,10 @@ class TestSurrogateLoss:
                 local = (scene.xyz[idx] - box.center()) @ rot
                 centroid = local.mean(axis=0)
                 r = float(np.linalg.norm(centroid))
-                total += 0.5 * r * r / knee if r < knee else r - 0.5 * knee
+                offsets.append(r)
+                loss, slope = reference_smooth_l1(r)
+                total += loss
                 if r > 0.0:
-                    slope = r / knee if r < knee else 1.0
                     grads[idx] += ((slope / r) * centroid / idx.size) @ rot.T
             return total / len(boxes), grads / len(boxes)
 
@@ -111,25 +121,26 @@ class TestSurrogateLoss:
             rng = np.random.default_rng(seed)
             centers = [(rng.uniform(5, 9), rng.uniform(-2, 2), 0.0) for _ in range(4)]
             scene = cluster_scene(rng, centers, n_per=int(rng.integers(1, 40)))
-            # overlapping, rotated and empty boxes beside the cluster boxes
-            boxes = scene.boxes + [random_box(rng, dist_range=(4.0, 10.0)) for _ in range(3)]
-            knee = float(rng.uniform(0.1, 2.0))
-            loss, field = surrogate_loss(scene, boxes, knee)
-            ref_loss, ref_grads = reference(scene, boxes, knee)
+            # off-centre, overlapping, rotated and empty boxes
+            boxes = off_center(rng, scene.boxes)
+            boxes += [random_box(rng, dist_range=(4.0, 10.0)) for _ in range(3)]
+            loss, field = surrogate_loss(scene, boxes)
+            ref_loss, ref_grads = reference(scene, boxes)
             assert loss == ref_loss
             assert np.array_equal(field.grads, ref_grads)
+        # both smooth-L1 branches, many times over
+        assert sum(r < 1.0 for r in offsets) > 20 and sum(r >= 1.0 for r in offsets) > 20
 
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_per=st.integers(1, 300),
         extra=st.integers(0, 4),
-        knee=st.floats(0.05, 3.0),
     )
-    def test_matches_mean_and_norm_loop(self, seed, n_per, extra, knee):
+    def test_matches_mean_and_norm_loop(self, seed, n_per, extra):
         # the loop over one shared assignment with .mean(axis=0) and
         # np.linalg.norm, bit for bit
-        def reference(scene, boxes, knee):
+        def reference(scene, boxes):
             grads = np.zeros((scene.n_points, 3))
             total = 0.0
             indptr, indices, local = geometry._assign_local(scene.xyz, boxes)
@@ -139,18 +150,19 @@ class TestSurrogateLoss:
                 idx = indices[start:stop]
                 centroid = local[start:stop].mean(axis=0)
                 r = float(np.linalg.norm(centroid))
-                total += 0.5 * r * r / knee if r < knee else r - 0.5 * knee
+                loss, slope = reference_smooth_l1(r)
+                total += loss
                 if r > 0.0:
-                    slope = r / knee if r < knee else 1.0
                     grads[idx] += ((slope / r) * centroid / idx.size) @ box.rotation().T
             return total / len(boxes), grads / len(boxes)
 
         rng = np.random.default_rng(seed)
         centers = [(rng.uniform(5, 9), rng.uniform(-2, 2), 0.0) for _ in range(4)]
         scene = cluster_scene(rng, centers, n_per=n_per)
-        boxes = scene.boxes + [random_box(rng, dist_range=(4.0, 10.0)) for _ in range(extra)]
-        loss, field = surrogate_loss(scene, boxes, knee)
-        ref_loss, ref_grads = reference(scene, boxes, knee)
+        boxes = off_center(rng, scene.boxes)
+        boxes += [random_box(rng, dist_range=(4.0, 10.0)) for _ in range(extra)]
+        loss, field = surrogate_loss(scene, boxes)
+        ref_loss, ref_grads = reference(scene, boxes)
         assert loss == ref_loss
         assert field.grads.tobytes() == ref_grads.tobytes()
 

@@ -275,17 +275,15 @@ class TestConfig:
         st.floats(1e-12, 10.0),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
-        st.floats(1e-12, 1e3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_float_keys_round_trip_exactly(self, p_tm, p_am, lam, epsilon, rho, threshold, knee):
+    def test_float_keys_round_trip_exactly(self, p_tm, p_am, lam, epsilon, rho, threshold):
         cfg = PipelineConfig(
             p_tm=p_tm,
             p_am=p_am,
             lam=lam,
             perturbation=PerturbationConfig(epsilon=epsilon, rho=rho),
             pseudo_score_threshold=threshold,
-            smooth_l1_knee=knee,
         )
         assert parse_config(format_config(cfg)) == cfg
 
@@ -300,6 +298,9 @@ class TestConfig:
         # matching derives its stride offsets from the two specs
         with pytest.raises(ConfigError, match="unknown key 'random_stride'"):
             parse_config("random_stride = false\n")
+        # the reference detector's smooth-L1 knee is fixed at 1 m
+        with pytest.raises(ConfigError, match="unknown key 'smooth_l1_knee'"):
+            parse_config("smooth_l1_knee = 1.0\n")
 
     def test_readme_table_names_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -319,7 +320,6 @@ class TestConfig:
             "lambda = -1",
             "k_sectors = 0",
             "epochs_am = 0",
-            "smooth_l1_knee = 0",
             "sector_min_width_deg = 0",
             "source_channels = 0",
             "target_points_per_channel = 0",
@@ -327,7 +327,6 @@ class TestConfig:
             "lambda = nan",
             "lambda = inf",
             "epsilon = inf",
-            "smooth_l1_knee = inf",
             "mode_weight_translate = nan",
             "source_vfov_max_deg = inf",
             "seed = 18446744073709551616",
@@ -412,7 +411,6 @@ class TestConfig:
         values["augment_labeled"] = "true" if data.draw(st.booleans()) else "false"
         values["lambda"] = data.draw(st.floats(0.0, 1e6))
         values["epsilon"] = data.draw(st.floats(1e-12, 10.0))
-        values["smooth_l1_knee"] = data.draw(st.floats(1e-12, 1e3))
         values["seed"] = data.draw(st.integers(-(2**63), 2**63 - 1))
         assert set(values) == set(_CONFIG_KEYS)
         cfg = parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))

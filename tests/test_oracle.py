@@ -10,7 +10,7 @@ from conftest import cluster_scene, load_scans
 from lidarmix import sensor
 from lidarmix.geometry import Box3D, BoxSet, DomainTag, Scene, points_in_box
 from lidarmix.oracle import GridClusterOracle
-from lidarmix.pipeline import PipelineConfig, run_full
+from lidarmix.pipeline import PipelineConfig, generate_pseudo_labels, run_full
 from lidarmix.synth import synthesize_dataset
 
 
@@ -40,6 +40,16 @@ class TestGridClusterOracle:
         boxes = GridClusterOracle().predict(scene)
         assert len(boxes) == 1
         assert boxes[0].score == pytest.approx(20 / 50)
+
+    def test_score_threshold_keeps_clusters_of_50_t_points(self, rng):
+        # pseudo_score_threshold = 0.3 keeps the clusters of 15 points or more
+        small = (0.8, 0.8, 0.5)  # within a 2 x 2 block of cells: one cluster
+        centers = [(10, 0, 0), (0, 15, 0), (-12, -12, 0)]
+        parts = [cluster_scene(rng, [c], n, small).points for c, n in zip(centers, (14, 15, 16))]
+        scene = Scene(np.vstack(parts), [], DomainTag.TARGET_UNLABELED)
+        assert len(GridClusterOracle().predict(scene)) == 3
+        (kept,) = generate_pseudo_labels(GridClusterOracle(), [scene], 0.3)
+        assert sorted(b.score for b in kept.boxes) == [15 / 50, 16 / 50]
 
     def test_axis_aligned_fit(self, rng):
         scene = cluster_scene(rng, [(10, 5, 0)], n_per=50)
@@ -77,31 +87,6 @@ class TestGridClusterOracle:
             Box3D(*((mn + mx) / 2.0), w=sizes[1], l=sizes[0], h=sizes[2], yaw=0.0, score=6 / 50)
         ]
 
-    def test_zero_min_box_size_flat_cell_still_rejected(self, rng):
-        xy = rng.uniform(0.1, 0.9, size=(8, 2)) + np.array([10.0, 0.0])
-        scene = Scene(np.column_stack([xy, np.zeros(8), np.zeros(8)]))  # one cell, all z = 0
-        # refused at construction, before a flat cell can become a zero-size box
-        with pytest.raises(ValueError, match="min_box_size must be finite and > 0"):
-            GridClusterOracle(min_box_size=0.0).predict(scene)
-
-    @pytest.mark.parametrize("size", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_min_box_size_not_finite_positive(self, size):
-        # predict on a flat cluster used to fail on a box field instead
-        with pytest.raises(ValueError, match="min_box_size must be finite and > 0"):
-            GridClusterOracle(min_box_size=size)
-
-    @pytest.mark.parametrize("saturation", [0, -5])
-    def test_rejects_non_positive_score_saturation(self, saturation):
-        with pytest.raises(ValueError, match="score_saturation"):
-            GridClusterOracle(score_saturation=saturation)
-
-    @pytest.mark.parametrize("saturation", [np.inf, np.nan])
-    def test_rejects_non_finite_score_saturation(self, saturation):
-        # an infinite saturation scores every box 0, so pseudo-labelling
-        # would silently drop them all
-        with pytest.raises(ValueError, match="score_saturation must be finite and > 0"):
-            GridClusterOracle(score_saturation=saturation)
-
     @pytest.mark.parametrize("min_points", [0, -3, np.nan, 2.5, 5.0])
     def test_rejects_min_points_not_a_positive_integer(self, min_points):
         with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
@@ -115,21 +100,6 @@ class TestGridClusterOracle:
         # such a grid used to bin a whole scene into one ~108 m box
         with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
             GridClusterOracle(cell_size=cell_size)
-
-    @pytest.mark.parametrize("knee", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_knee_not_finite_positive(self, knee):
-        # refused at construction, so run_full cannot match every source
-        # scene before the first loss evaluation fails
-        with pytest.raises(ValueError, match="knee must be finite and > 0"):
-            GridClusterOracle(smooth_l1_knee=knee)
-
-    def test_infinite_knee_is_refused(self):
-        # an infinite knee used to give loss 0 and a zero gradient, so every
-        # perturbation through this oracle was a silent no-op
-        box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.0)
-        scene = Scene(np.array([[5.4, 0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match="knee must be finite and > 0"):
-            GridClusterOracle(smooth_l1_knee=np.inf).loss_and_gradient(scene, [box])
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -189,7 +159,7 @@ def reference_predict(oracle: GridClusterOracle, scene: Scene) -> list[Box3D]:
             continue
         pts = scene.xyz[member]
         mn, mx = pts.min(axis=0), pts.max(axis=0)
-        sizes = np.maximum(mx - mn, oracle.min_box_size)
+        sizes = np.maximum(mx - mn, 0.1)
         boxes.append(
             Box3D(
                 *((mn + mx) / 2.0),
@@ -197,7 +167,7 @@ def reference_predict(oracle: GridClusterOracle, scene: Scene) -> list[Box3D]:
                 l=float(sizes[0]),
                 h=float(sizes[2]),
                 yaw=0.0,
-                score=min(1.0, count / oracle.score_saturation),
+                score=min(1.0, count / 50),
             )
         )
     return boxes

@@ -349,6 +349,19 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(lam=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("epochs_tm", 1.5), ("epochs_am", 2.0), ("seed", "3")]
+    )
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        # these used to construct and then fail mid-run with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PipelineConfig(**{field: value})
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        cfg = PipelineConfig(seed=np.int64(-5), epochs_tm=np.int64(2))
+        assert type(cfg.seed) is int and cfg == PipelineConfig(seed=-5, epochs_tm=2)
+        assert seeded_rng(np.uint64(2**64 - 5)).random() == seeded_rng(-5).random()
+
     @pytest.mark.parametrize("seed", [2**64, -(2**63) - 1, 2**100])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -368,7 +381,6 @@ class TestPipelineConfig:
         [
             pytest.param(lambda: PipelineConfig(lam=math.nan), id="lam-nan"),
             pytest.param(lambda: PipelineConfig(lam=math.inf), id="lam-inf"),
-            pytest.param(lambda: PipelineConfig(smooth_l1_knee=math.inf), id="knee-inf"),
             pytest.param(lambda: PerturbationConfig(epsilon=math.inf), id="epsilon-inf"),
             pytest.param(
                 lambda: PerturbationConfig(mode_weights=(math.nan, 0.5, 0.5)), id="weight-nan"

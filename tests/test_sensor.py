@@ -50,6 +50,17 @@ class TestSensorSpec:
         with pytest.raises(ValueError):
             SensorSpec(8, 100, 0.2, 0.1)
 
+    @pytest.mark.parametrize(
+        "channels, points_per_channel", [(2.5, 100), (8, 100.0), (np.nan, 100), (8, "100")]
+    )
+    def test_counts_must_be_integers(self, channels, points_per_channel):
+        # a 2.5-channel spec used to construct, and matching then ran on it
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            SensorSpec(channels, points_per_channel, -0.1, 0.1)
+
+    def test_accepts_numpy_integer_counts(self):
+        assert SensorSpec(np.int64(8), np.int32(100), -0.1, 0.1) == SensorSpec(8, 100, -0.1, 0.1)
+
     def test_from_degrees(self):
         assert WAYMO_64.vfov_min == pytest.approx(math.radians(-17.6))
         assert WAYMO_64.span == pytest.approx(math.radians(20.0))
@@ -209,6 +220,14 @@ class TestNearestRowOffset:
         el = spherical_from_xyz(lidar_distribution_match(scene, WAYMO_64, NUSCENES_32).xyz)[:, 1]
         beams = (el - NUSCENES_32.vfov_min) / NUSCENES_32.row_pitch - 0.5
         assert np.abs(beams - np.round(beams)).max() == pytest.approx(0.045, abs=1e-9)
+
+    def test_computed_once_per_spec_pair(self):
+        scene = scene_from_spherical(all_cell_centers(WAYMO_64))
+        sensor._nearest_row_offset.cache_clear()
+        for _ in range(3):
+            lidar_distribution_match(scene, WAYMO_64, NUSCENES_32)
+        info = sensor._nearest_row_offset.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestDownsampleRangeImage:
