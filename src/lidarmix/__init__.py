@@ -67,6 +67,6 @@ from .sensor import (
     downsample_range_image,
     lidar_distribution_match,
 )
-from .synth import NoiseParams, synthesize_dataset, synthesize_scene
+from .synth import synthesize_dataset, synthesize_scene
 
 __version__ = "0.1.0"

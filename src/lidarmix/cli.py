@@ -24,13 +24,11 @@ from .synth import synthesize_dataset
 from .adversarial import adversarial_perturb_detailed
 
 
-def _load_cfg(args) -> "lio.PipelineConfig":
-    """--config if given, else the manifest's config.txt for `pipeline`, else
-    the defaults; then --seed, if given, replaces the seed."""
-    if args.config or hasattr(args, "manifest"):
-        cfg = lio.load_config(args.config or Path(args.manifest) / "config.txt")
-    else:
-        cfg = lio.PipelineConfig()
+def _load_cfg(args, default_path: Path | None = None) -> "lio.PipelineConfig":
+    """--config if given, else default_path (the manifest's config.txt for
+    `pipeline`), else the defaults; then --seed, if given, replaces the seed."""
+    path = args.config or default_path
+    cfg = lio.load_config(path) if path else lio.PipelineConfig()
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
@@ -78,7 +76,7 @@ def _cmd_adv(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     bundle = lio.load_bundle(args.manifest)
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, Path(args.manifest) / "config.txt")
     report_tm, report_am = run_full(cfg, bundle)
     summary = json.dumps(
         {"targetmix": report_tm.to_dict(), "advmix": report_am.to_dict()},

@@ -18,10 +18,15 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a count that is not an integer >= 1, before it can fail mid-run."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bool, though an int subclass, is not one."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a count that is not an integer >= minimum, before it can fail mid-run."""
+    if not (_is_integer(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class NonPositiveScale(ValueError):
@@ -125,7 +130,7 @@ class Box3D:
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         c = self.class_id
-        if not (type(c) is int or isinstance(c, np.integer)) or not -_MAX_CLASS_ID <= c <= _MAX_CLASS_ID:
+        if not _is_integer(c) or not -_MAX_CLASS_ID <= c <= _MAX_CLASS_ID:
             raise ValueError(f"class id must be an integer of magnitude at most 2**53, got {c!r}")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
@@ -338,10 +343,6 @@ class Scene:
     @property
     def intensities(self) -> np.ndarray:
         return self.points[:, 3]
-
-    @classmethod
-    def empty(cls, domain_tag: DomainTag = DomainTag.SOURCE) -> "Scene":
-        return cls(np.empty((0, 4)), [], domain_tag)
 
 
 # Boxes x points cells per prefilter chunk of assign_points; this bounds

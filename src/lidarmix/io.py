@@ -285,15 +285,11 @@ def load_bundle(root: str | Path) -> DatasetBundle:
     )
 
 
-def load_manifest(root: str | Path) -> tuple[DatasetBundle, PipelineConfig]:
-    """Load a manifest directory: its scenes (see load_bundle) and config.txt."""
-    return load_bundle(root), load_config(Path(root) / "config.txt")
-
-
 def save_manifest(bundle: DatasetBundle, cfg: PipelineConfig, root: str | Path) -> None:
-    """Write a manifest directory that load_manifest reads back. Raises
-    FileExistsError, before writing anything, when a role directory already
-    holds clouds: load_manifest would mix them into the new bundle."""
+    """Write a manifest directory: load_bundle reads back its scenes and
+    load_config its config.txt. Raises FileExistsError, before writing
+    anything, when a role directory already holds clouds: load_bundle would
+    mix them into the new bundle."""
     root = Path(root)
     for role, _, _ in _ROLES:
         if any((root / role).glob("*.bin")):

@@ -12,7 +12,6 @@ evaluation. Real detectors plug in through the same contract.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -28,7 +27,8 @@ _SCORE_SATURATION = 50  # points from which a cluster scores 1
 
 class DetectorOracle(GradientProvider, Protocol):
     """Prediction plus loss/gradient evaluation over scenes. Read-only by
-    construction, so a frozen teacher cannot drift during stage 2."""
+    construction: nothing trains, so `run_full` hands one object both the
+    teacher's and the student's role and the teacher cannot drift."""
 
     def predict(self, scene: Scene) -> Sequence[Box3D]:
         """The boxes detected in scene, each with a score: a BoxSet, or any
@@ -153,6 +153,3 @@ class GridClusterOracle:
         self, scene: Scene, boxes: Sequence[Box3D]
     ) -> tuple[float, GradientField]:
         return surrogate_loss(scene, boxes)
-
-    def clone(self) -> "GridClusterOracle":
-        return dataclasses.replace(self)

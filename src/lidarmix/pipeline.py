@@ -28,7 +28,7 @@ from .adversarial import (
     advmix_sample,
     consistency_loss,
 )
-from .geometry import BoxSet, DomainTag, Scene, _check_count, apply_rigid_transform
+from .geometry import BoxSet, DomainTag, Scene, _check_count, _is_integer, apply_rigid_transform
 from .oracle import DetectorOracle, GridClusterOracle
 from .sector_mix import SectorParams, targetmix_sample
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
@@ -117,7 +117,7 @@ class PseudoLabelStats:
 def _check_seed(seed: int) -> int:
     """The seed as a Python int, which JSON reports need; ValueError unless
     it is an integer in [-2**63, 2**64)."""
-    if not (isinstance(seed, (int, np.integer)) and -(1 << 63) <= int(seed) < 1 << 64):
+    if not (_is_integer(seed) and -(1 << 63) <= int(seed) < 1 << 64):
         raise ValueError(f"seed must be an integer in [-2**63, 2**64), got {seed!r}")
     return int(seed)
 
@@ -303,20 +303,20 @@ def run_advmix_stage(
 def run_full(
     cfg: PipelineConfig, datasets: DatasetBundle, oracle: DetectorOracle | None = None
 ) -> tuple[StageReport, StageReport]:
-    """Stage 1, pseudo-labeling, then stage 2, with the stage-1 oracle
-    serving as the frozen teacher and the student cloned from it. An empty
-    role raises EmptyDataset before any stage runs."""
+    """Stage 1, pseudo-labeling, then stage 2. One oracle object plays every
+    role: the stage-1 detector, the teacher that pseudo-labels and perturbs,
+    and the student; nothing trains, so a copy would be equal. An empty role
+    raises EmptyDataset before any stage runs."""
     empty = [role for role, scenes in vars(datasets).items() if not scenes]
     if empty:
         raise EmptyDataset(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
-    teacher = oracle if oracle is not None else GridClusterOracle()
-    report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, teacher)
+    oracle = oracle if oracle is not None else GridClusterOracle()
+    report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, oracle)
     stats = PseudoLabelStats()
     pseudo = generate_pseudo_labels(
-        teacher, datasets.target_unlabeled, cfg.pseudo_score_threshold, stats
+        oracle, datasets.target_unlabeled, cfg.pseudo_score_threshold, stats
     )
-    student = teacher.clone() if hasattr(teacher, "clone") else teacher
-    report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, teacher, student)
+    report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle, oracle)
     report_am.pseudo_boxes_discarded = stats.discarded
     logger.info(
         "pipeline done: pseudo kept=%d discarded=%d", stats.kept, stats.discarded

@@ -1,51 +1,37 @@
 """Synthetic scene and dataset generation for tests and the demo pipeline.
 
-Ground returns are scattered on the sensor's beam pattern (azimuth at a
-column center, elevation snapped to the nearest beam row for the sampled
-range), sparse enough that the clustering oracle sees mostly small
-fragments. Object clusters are dense uniform fills of car-sized boxes.
+The geometry is fixed: the sensor sits 1.8 m above a flat ground plane,
+ground returns fill the 4-55 m annulus around it, and every object cluster
+holds 35-70 points. Ground returns are scattered on the sensor's beam
+pattern (azimuth at a column center, elevation snapped to the nearest beam
+row for the sampled range), sparse enough that the clustering oracle sees
+mostly small fragments. Object clusters are dense uniform fills of
+car-sized boxes. The one knob is `ground_points`, the ground returns per
+scene.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene, xyz_from_spherical
+from .geometry import Box3D, DomainTag, Scene, _check_count, xyz_from_spherical
 from .pipeline import DatasetBundle, seeded_rng
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec
 
-
-@dataclass(frozen=True)
-class NoiseParams:
-    ground_points: int = 1200
-    sensor_height: float = 1.8
-    range_min: float = 4.0
-    range_max: float = 55.0
-    cluster_points_min: int = 35
-    cluster_points_max: int = 70
-
-    def __post_init__(self):
-        if self.ground_points < 0:
-            raise ValueError("ground_points must be >= 0")
-        if not 0.0 < self.range_min < self.range_max < math.inf:
-            raise ValueError("need finite 0 < range_min < range_max")
-        if not math.isfinite(self.sensor_height):
-            raise ValueError(f"sensor_height must be finite, got {self.sensor_height}")
-        if not 20 <= self.cluster_points_min <= self.cluster_points_max:
-            raise ValueError("need 20 <= cluster_points_min <= cluster_points_max")
+_SENSOR_HEIGHT = 1.8  # meters above the ground plane
+_RANGE_MIN, _RANGE_MAX = 4.0, 55.0  # meters, the ground annulus
+_CLUSTER_POINTS_MIN, _CLUSTER_POINTS_MAX = 35, 70  # points per object, inclusive
 
 
-def _ground_returns(rng: np.random.Generator, spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
-    n = noise.ground_points
+def _ground_returns(rng: np.random.Generator, spec: SensorSpec, n: int) -> np.ndarray:
     if n == 0:
         return np.empty((0, 4))
     # Uniform in area over the annulus, then snap elevation to a beam row.
     u = rng.uniform(size=n)
-    r = np.sqrt(noise.range_min**2 + u * (noise.range_max**2 - noise.range_min**2))
-    ideal_el = -np.arctan2(noise.sensor_height, r)
+    r = np.sqrt(_RANGE_MIN**2 + u * (_RANGE_MAX**2 - _RANGE_MIN**2))
+    ideal_el = -np.arctan2(_SENSOR_HEIGHT, r)
     rows = np.clip(
         np.round((ideal_el - spec.vfov_min) / spec.row_pitch - 0.5), 0, spec.channels - 1
     )
@@ -56,9 +42,7 @@ def _ground_returns(rng: np.random.Generator, spec: SensorSpec, noise: NoisePara
     return np.column_stack([xyz, rng.uniform(0.0, 1.0, size=n)])
 
 
-def _object_cluster(
-    rng: np.random.Generator, noise: NoiseParams
-) -> tuple[np.ndarray, Box3D]:
+def _object_cluster(rng: np.random.Generator) -> tuple[np.ndarray, Box3D]:
     dist = rng.uniform(8.0, 35.0)
     az = rng.uniform(0.0, 2.0 * math.pi)
     w = rng.uniform(1.6, 2.2)
@@ -67,13 +51,13 @@ def _object_cluster(
     box = Box3D(
         dist * math.cos(az),
         dist * math.sin(az),
-        -noise.sensor_height + h / 2.0,
+        -_SENSOR_HEIGHT + h / 2.0,
         w=w,
         l=length,
         h=h,
         yaw=rng.uniform(-math.pi, math.pi),
     )
-    n = int(rng.integers(noise.cluster_points_min, noise.cluster_points_max + 1))
+    n = int(rng.integers(_CLUSTER_POINTS_MIN, _CLUSTER_POINTS_MAX + 1))
     local = rng.uniform(-0.45, 0.45, size=(n, 3)) * np.array([length, w, h])
     world = box.center() + local @ box.rotation().T
     return np.column_stack([world, rng.uniform(0.0, 1.0, size=n)]), box
@@ -83,17 +67,17 @@ def synthesize_scene(
     rng: np.random.Generator,
     n_objects: int,
     spec: SensorSpec,
-    noise: NoiseParams = NoiseParams(),
+    ground_points: int = 1200,
     domain_tag: DomainTag = DomainTag.SOURCE,
 ) -> Scene:
-    """Ground returns on the sensor's beams plus n_objects dense clusters,
-    each wrapped in a ground-truth box holding at least 20 points."""
-    if n_objects < 0:
-        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
-    parts = [_ground_returns(rng, spec, noise)]
+    """ground_points returns on the sensor's beams plus n_objects dense
+    clusters, each wrapped in a ground-truth box holding at least 20 points."""
+    _check_count("n_objects", n_objects, 0)
+    _check_count("ground_points", ground_points, 0)
+    parts = [_ground_returns(rng, spec, ground_points)]
     boxes = []
     for _ in range(n_objects):
-        pts, box = _object_cluster(rng, noise)
+        pts, box = _object_cluster(rng)
         parts.append(pts)
         boxes.append(box)
     return Scene(np.vstack(parts), boxes, domain_tag)
@@ -107,25 +91,28 @@ def synthesize_dataset(
     max_objects: int = 4,
     source_spec: SensorSpec = WAYMO_64,
     target_spec: SensorSpec = NUSCENES_32,
-    noise: NoiseParams = NoiseParams(),
+    ground_points: int = 1200,
 ) -> DatasetBundle:
     """Deterministic bundle of synthetic scenes for all three roles.
 
     Unlabeled scenes are generated with objects but shipped without boxes;
     pseudo-labeling is the pipeline's job.
     """
-    for name, count in (("n_source", n_source), ("n_labeled", n_labeled), ("n_unlabeled", n_unlabeled)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    if max_objects < 1:
-        raise ValueError(f"max_objects must be >= 1, got {max_objects}")
+    for name, count in (
+        ("n_source", n_source),
+        ("n_labeled", n_labeled),
+        ("n_unlabeled", n_unlabeled),
+        ("ground_points", ground_points),
+    ):
+        _check_count(name, count, 0)
+    _check_count("max_objects", max_objects)
     rng = seeded_rng(seed, 17)
 
     def make(count, spec, tag, keep_boxes):
         scenes = []
         for _ in range(count):
             n_obj = int(rng.integers(1, max_objects + 1))
-            scene = synthesize_scene(rng, n_obj, spec, noise, tag)
+            scene = synthesize_scene(rng, n_obj, spec, ground_points, tag)
             if not keep_boxes:
                 scene.boxes = []
             scenes.append(scene)

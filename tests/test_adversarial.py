@@ -49,7 +49,7 @@ def reference_smooth_l1(r):
 class TestSurrogateLoss:
     def test_requires_boxes(self):
         with pytest.raises(EmptyBoxList):
-            surrogate_loss(Scene.empty(), [])
+            surrogate_loss(Scene(np.empty((0, 4))), [])
 
     def test_symmetric_points_zero_loss(self):
         box = Box3D(5.0, 0.0, 0.0, w=2, l=2, h=2, yaw=0.3)
@@ -482,7 +482,7 @@ class TestAdversarialPerturb:
 class TestPointMixup:
     def test_empty_b_is_identity(self, rng):
         a = cluster_scene(rng, [(8, 0, 0)], domain_tag=DomainTag.TARGET_LABELED)
-        b = Scene.empty(DomainTag.TARGET_UNLABELED)
+        b = Scene(np.empty((0, 4)), [], DomainTag.TARGET_UNLABELED)
         out = point_mixup(a, b)
         assert np.array_equal(out.points, a.points)
         assert out.boxes == a.boxes

@@ -574,7 +574,7 @@ class TestRigidTransform:
 
 class TestScene:
     def test_empty(self):
-        scene = Scene.empty(DomainTag.MIXED)
+        scene = Scene(np.empty((0, 4)), [], DomainTag.MIXED)
         assert scene.n_points == 0
         assert scene.points.shape == (0, 4)
 

@@ -1,9 +1,11 @@
-"""The runtime import graph is numpy only; scipy is a test dependency."""
+"""The runtime import graph is numpy only; scipy is a test dependency. The
+package's public names are pinned."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 
 def test_import_does_not_load_scipy():
@@ -17,3 +19,68 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names():
+    # a public symbol added to or deleted from the package shows up in this
+    # list; submodules are left out, since other imports bind them
+    import lidarmix
+
+    public = (n for n, v in vars(lidarmix).items() if not isinstance(v, ModuleType))
+    assert sorted(n for n in public if not n.startswith("_")) == [
+        "Box3D",
+        "BoxSet",
+        "DatasetBundle",
+        "DetectorOracle",
+        "DomainTag",
+        "EmptyBoxList",
+        "EmptyDataset",
+        "EpochStats",
+        "GradientField",
+        "GradientProvider",
+        "GridClusterOracle",
+        "NUSCENES_32",
+        "NonPositiveScale",
+        "OneSidedEmpty",
+        "PerturbationConfig",
+        "PipelineConfig",
+        "RangeImage",
+        "Scene",
+        "SectorMask",
+        "SectorPackingFailed",
+        "SectorParams",
+        "SensorSpec",
+        "StageReport",
+        "UpsampleRequired",
+        "WAYMO_64",
+        "adversarial_perturb_detailed",
+        "advmix_sample",
+        "apply_rigid_transform",
+        "assign_points",
+        "backproject",
+        "box_crosses_boundary",
+        "boxes_cross_boundary",
+        "build_range_image",
+        "consistency_loss",
+        "downsample_factors",
+        "downsample_range_image",
+        "enhanced_filter",
+        "generate_pseudo_labels",
+        "lidar_distribution_match",
+        "normalize_yaw",
+        "perturbation_delta",
+        "point_mixup",
+        "points_in_box",
+        "polar_mix",
+        "run_advmix_stage",
+        "run_full",
+        "run_targetmix_stage",
+        "sample_sectors",
+        "spherical_from_xyz",
+        "surrogate_loss",
+        "synthesize_dataset",
+        "synthesize_scene",
+        "targetmix_sample",
+        "wrap_azimuth",
+        "xyz_from_spherical",
+    ]

@@ -20,8 +20,8 @@ from lidarmix.io import (
     NonFiniteValue,
     TruncatedFile,
     format_config,
+    load_bundle,
     load_config,
-    load_manifest,
     parse_config,
     read_cloud,
     read_labels,
@@ -32,7 +32,7 @@ from lidarmix.io import (
 )
 from lidarmix.pipeline import DatasetBundle, PipelineConfig
 from lidarmix.sector_mix import SectorParams
-from lidarmix.synth import NoiseParams, synthesize_dataset
+from lidarmix.synth import synthesize_dataset
 
 
 class TestCloudFiles:
@@ -507,12 +507,12 @@ class TestReplaceOnWrite:
 class TestManifest:
     def test_round_trip(self, tmp_path):
         bundle = synthesize_dataset(
-            3, n_source=2, n_labeled=1, n_unlabeled=2, noise=NoiseParams(ground_points=100)
+            3, n_source=2, n_labeled=1, n_unlabeled=2, ground_points=100
         )
         cfg = PipelineConfig(seed=3)
         save_manifest(bundle, cfg, tmp_path)
-        back, back_cfg = load_manifest(tmp_path)
-        assert back_cfg == cfg
+        back = load_bundle(tmp_path)
+        assert load_config(tmp_path / "config.txt") == cfg
         assert len(back.source) == 2
         assert len(back.target_labeled) == 1
         assert len(back.target_unlabeled) == 2
@@ -529,8 +529,10 @@ class TestManifest:
         save_manifest(bundle, PipelineConfig(), tmp_path)
         (tmp_path / "target_labeled" / "0000.txt").unlink()
         with pytest.raises(FileNotFoundError):
-            load_manifest(tmp_path)
+            load_bundle(tmp_path)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_manifest(tmp_path / "nope")
+            load_bundle(tmp_path / "nope")
+        with pytest.raises(FileNotFoundError):
+            load_config(tmp_path / "nope" / "config.txt")

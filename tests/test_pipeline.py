@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import cluster_scene
+from lidarmix import pipeline
 from lidarmix.adversarial import GradientField, PerturbationConfig
 from lidarmix.geometry import DomainTag, Scene
 from lidarmix.oracle import GridClusterOracle
@@ -22,7 +23,7 @@ from lidarmix.pipeline import (
 )
 from lidarmix.sector_mix import SectorParams
 from lidarmix.sensor import SensorSpec, lidar_distribution_match
-from lidarmix.synth import NoiseParams, synthesize_dataset
+from lidarmix.synth import synthesize_dataset
 
 SMALL = SensorSpec(16, 64, -0.3, 0.1)
 
@@ -42,7 +43,7 @@ def bundle():
         n_unlabeled=4,
         source_spec=SMALL,
         target_spec=SMALL,
-        noise=NoiseParams(ground_points=300),
+        ground_points=300,
     )
 
 
@@ -170,9 +171,6 @@ class RecordingOracle:
         self.evaluated.append(scene)
         return 0.0, GradientField(np.zeros((scene.n_points, 3)))
 
-    def clone(self):
-        return self
-
 
 class TestAdvmixStage:
     def make_sets(self, rng):
@@ -191,7 +189,7 @@ class TestAdvmixStage:
         teacher = GridClusterOracle()
         pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
         cfg = small_cfg(lam=0.0)
-        report = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher.clone())
+        report = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher)
         for e in report.epochs:
             assert e.mean_total_loss == pytest.approx(e.mean_detection_loss, abs=1e-12)
 
@@ -199,8 +197,8 @@ class TestAdvmixStage:
         teacher = GridClusterOracle()
         pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
         cfg = small_cfg(epochs_am=2)
-        r1 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher.clone())
-        r2 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher.clone())
+        r1 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher)
+        r2 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher)
         assert r1.to_json() == r2.to_json()
 
     def test_requires_labeled_set(self, bundle):
@@ -276,7 +274,7 @@ class TestAdvmixStage:
         teacher = GridClusterOracle()
         pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
         report = run_advmix_stage(
-            small_cfg(), bundle.target_labeled, pseudo, teacher, teacher.clone()
+            small_cfg(), bundle.target_labeled, pseudo, teacher, teacher
         )
         for e in report.epochs:
             assert e.points_perturbed + e.points_added + e.points_removed <= e.points_candidates
@@ -305,6 +303,26 @@ class TestRunFull:
             run_full(small_cfg(), DatasetBundle(**roles), recorder)
         assert recorder.predicted == []
         assert recorder.gradient_calls == 0
+
+    def test_one_oracle_plays_teacher_and_student(self, bundle, monkeypatch):
+        # nothing trains, so stage 2 gets the very object that pseudo-labeled
+        seen = {}
+
+        def pseudo_label(oracle, *args):
+            seen["pseudo"] = oracle
+            return generate_pseudo_labels(oracle, *args)
+
+        def advmix(cfg, labeled, pseudo, teacher, student):
+            seen["teacher"], seen["student"] = teacher, student
+            return run_advmix_stage(cfg, labeled, pseudo, teacher, student)
+
+        monkeypatch.setattr(pipeline, "generate_pseudo_labels", pseudo_label)
+        monkeypatch.setattr(pipeline, "run_advmix_stage", advmix)
+        oracle = GridClusterOracle()
+        run_full(small_cfg(), bundle, oracle)
+        assert seen["pseudo"] is seen["teacher"] is seen["student"] is oracle
+        run_full(small_cfg(), bundle)
+        assert seen["pseudo"] is seen["teacher"] is seen["student"]
 
     def test_deterministic_end_to_end(self, bundle):
         a = run_full(small_cfg(), bundle)
@@ -350,7 +368,15 @@ class TestPipelineConfig:
             PipelineConfig(lam=-0.1)
 
     @pytest.mark.parametrize(
-        "field, value", [("seed", 1.5), ("epochs_tm", 1.5), ("epochs_am", 2.0), ("seed", "3")]
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("epochs_tm", 1.5),
+            ("epochs_am", 2.0),
+            ("seed", "3"),
+            ("seed", True),
+            ("epochs_tm", True),
+        ],
     )
     def test_integer_fields_refuse_non_integers(self, field, value):
         # these used to construct and then fail mid-run with a TypeError

@@ -156,7 +156,7 @@ class TestSampleSectors:
         with pytest.raises(ValueError):
             sample_sectors(rng, 1, 0.5, 0.2)
 
-    @pytest.mark.parametrize("k", [1.5, 2.0, np.nan])
+    @pytest.mark.parametrize("k", [1.5, 2.0, np.nan, True])
     def test_k_must_be_an_integer(self, k):
         # SectorParams(k=1.5) used to construct and then fail mid-run
         with pytest.raises(ValueError, match="k must be an integer >= 1"):

@@ -51,7 +51,8 @@ class TestSensorSpec:
             SensorSpec(8, 100, 0.2, 0.1)
 
     @pytest.mark.parametrize(
-        "channels, points_per_channel", [(2.5, 100), (8, 100.0), (np.nan, 100), (8, "100")]
+        "channels, points_per_channel",
+        [(2.5, 100), (8, 100.0), (np.nan, 100), (8, "100"), (True, 100), (8, True)],
     )
     def test_counts_must_be_integers(self, channels, points_per_channel):
         # a 2.5-channel spec used to construct, and matching then ran on it
@@ -96,7 +97,7 @@ class TestBuildRangeImage:
         assert img.n_occupied == 0
 
     def test_empty_scene(self):
-        img = build_range_image(Scene.empty(), SMALL)
+        img = build_range_image(Scene(np.empty((0, 4))), SMALL)
         assert img.n_occupied == 0
 
 

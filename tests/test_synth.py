@@ -3,14 +3,14 @@ import pytest
 
 from lidarmix.geometry import DomainTag, points_in_box, spherical_from_xyz
 from lidarmix.sensor import NUSCENES_32, WAYMO_64
-from lidarmix.synth import NoiseParams, synthesize_dataset, synthesize_scene
+from lidarmix.synth import synthesize_dataset, synthesize_scene
 
 
 class TestSynthesizeScene:
     def test_zero_objects(self, rng):
         scene = synthesize_scene(rng, 0, NUSCENES_32)
         assert scene.boxes == []
-        assert scene.n_points == NoiseParams().ground_points
+        assert scene.n_points == 1200  # the default ground_points
 
     def test_every_box_holds_at_least_20_points(self, rng):
         for _ in range(10):
@@ -40,29 +40,22 @@ class TestSynthesizeScene:
         with pytest.raises(ValueError):
             synthesize_scene(rng, -1, WAYMO_64)
 
-
-class TestNoiseParams:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"range_max": np.inf},
-            {"sensor_height": np.inf},
-            {"sensor_height": -np.inf},
-            {"sensor_height": np.nan},
-            {"cluster_points_min": 40, "cluster_points_max": 39},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            NoiseParams(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"ground_points": 0}, {"ground_points": 5000}, {"cluster_points_max": 35}]
-    )
-    def test_accepts_valid_values(self, rng, kwargs):
-        noise = NoiseParams(**kwargs)
-        scene = synthesize_scene(rng, 2, NUSCENES_32, noise)
+    @pytest.mark.parametrize("ground_points", [1200, 0, 5000])
+    def test_ground_points_sets_the_ground_returns(self, rng, ground_points):
+        scene = synthesize_scene(rng, 2, NUSCENES_32, ground_points)
         assert np.isfinite(scene.points).all()
+        # each object cluster holds 35 to 70 points
+        assert 35 * 2 <= scene.n_points - ground_points <= 70 * 2
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_objects", 1.5), ("n_objects", True), ("ground_points", -1), ("ground_points", 2.0)],
+    )
+    def test_rejects_non_count_arguments(self, rng, name, value):
+        # n_objects=1.5 used to fail mid-run with a TypeError
+        args = {"n_objects": 1, "ground_points": 10, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            synthesize_scene(rng, spec=NUSCENES_32, **args)
 
 
 class TestSynthesizeDataset:
@@ -88,11 +81,30 @@ class TestSynthesizeDataset:
             assert sa.boxes == sb.boxes
 
     @pytest.mark.parametrize(
-        "name, value", [("n_source", -1), ("n_labeled", -1), ("n_unlabeled", -2), ("max_objects", 0)]
+        "name, value",
+        [
+            ("n_source", -1),
+            ("n_labeled", -1),
+            ("n_unlabeled", -2),
+            ("max_objects", 0),
+            ("ground_points", -1),
+            # non-integers: n_source=1.5 used to fail mid-run with a TypeError,
+            # max_objects=2.5 was accepted silently
+            ("n_source", 1.5),
+            ("n_labeled", True),
+            ("n_unlabeled", 2.0),
+            ("max_objects", 2.5),
+            ("ground_points", 10.0),
+        ],
     )
     def test_rejects_negative_counts_and_no_objects(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             synthesize_dataset(0, **{name: value})
+
+    def test_ground_points_reaches_every_role(self):
+        bundle = synthesize_dataset(2, n_source=1, n_labeled=1, n_unlabeled=1, ground_points=0)
+        for scene in bundle.source + bundle.target_labeled:
+            assert 35 * len(scene.boxes) <= scene.n_points <= 70 * len(scene.boxes)
 
     def test_zero_role_counts_are_valid(self):
         bundle = synthesize_dataset(0, n_source=0, n_labeled=0, n_unlabeled=0)
