@@ -129,11 +129,8 @@ def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     g = field.grads
-    norms = np.linalg.norm(g, axis=1)
-    delta = np.zeros_like(g)
-    nz = norms > 0.0
-    delta[nz] = -epsilon * g[nz] / norms[nz, None]
-    return delta
+    norms = np.linalg.norm(g, axis=1)[:, None]
+    return np.divide(-epsilon * g, norms, out=np.zeros_like(g), where=norms > 0.0)
 
 
 @dataclass
@@ -177,33 +174,40 @@ def adversarial_perturb_detailed(
     members = field.members or assign_points(scene.xyz, boxes)
     if len(members[0]) != len(boxes) + 1:
         raise ValueError(f"members have {len(members[0])} indptr entries for {len(boxes)} boxes")
-    candidates = np.unique(members[1])
-    if candidates.size and (candidates[0] < 0 or candidates[-1] >= scene.n_points):
+    indices = np.asarray(members[1])
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"members must be integer point indices, got dtype {indices.dtype}")
+    if indices.size and (indices.min() < 0 or indices.max() >= scene.n_points):
         raise ValueError(f"members name points outside [0, {scene.n_points}), which would wrap")
+    is_member = np.zeros(scene.n_points, dtype=bool)
+    is_member[indices] = True
+    candidates = np.flatnonzero(is_member)
     outcome.candidates = int(candidates.size)
-    # perturbation_delta works row by row, so the candidate rows suffice.
-    delta = perturbation_delta(GradientField(field.grads[candidates]), cfg.epsilon)
-    picked = rng.random(candidates.size) < cfg.rho
-    selected, step = candidates[picked], delta[picked]
+    selected = candidates[rng.random(candidates.size) < cfg.rho]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)
+    # perturbation_delta works row by row, so the selected rows suffice
+    # (take and compress copy rows far faster than fancy or mask indexing).
+    step = perturbation_delta(GradientField(field.grads.take(selected, axis=0)), cfg.epsilon)
+    del field  # its (N, 3) gradients, freed before the output is built
 
     moving = step.any(axis=1)
     is_translate, is_add = (modes == 0) & moving, (modes == 1) & moving
     translate, add, remove = selected[is_translate], selected[is_add], selected[modes == 2]
     outcome.translated, outcome.added, outcome.removed = translate.size, add.size, remove.size
-    moved = np.concatenate([step[is_translate], step[is_add]])
+    moved = np.concatenate([step.compress(is_translate, axis=0), step.compress(is_add, axis=0)])
     if moved.size:
         # row @ column takes the same BLAS dot as np.linalg.norm of one row
         norms = np.sqrt((moved[:, None, :] @ moved[:, :, None]).ravel())
         outcome.max_norm_deviation = float(np.abs(norms - cfg.epsilon).max())
 
-    pts = scene.points.copy()
-    pts[translate, :3] += step[is_translate]
-    added = scene.points[add]
-    added[:, :3] += step[is_add]
+    # One gather builds the output: kept rows, then added ones. selected is
+    # ascending, so a translated row moves up by the removed rows before it.
     keep = np.ones(scene.n_points, dtype=bool)
     keep[remove] = False
-    return Scene(np.vstack([pts[keep], added]), boxes, DomainTag.TARGET_UNLABELED, True), outcome
+    pts = scene.points.take(np.concatenate([np.flatnonzero(keep), add]), axis=0)
+    pts[translate - np.searchsorted(remove, translate), :3] += moved[: translate.size]
+    pts[pts.shape[0] - add.size :, :3] += moved[translate.size :]
+    return Scene(pts, boxes, DomainTag.TARGET_UNLABELED, True), outcome
 
 
 def point_mixup(a: Scene, b: Scene) -> Scene:

@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 RECORD_BYTES = 16  # four little-endian float32 per point
 
 
-def _replace_file(path: str | Path, data: bytes) -> None:
+def _replace_file(path: str | Path, data: bytes | np.ndarray) -> None:
     """Write `data` to `path` as a new file, replacing any regular file there.
 
     Callers validate and format before calling, so a refused write never
@@ -70,10 +70,11 @@ def read_cloud(path: str | Path, domain_tag: DomainTag = DomainTag.SOURCE) -> Sc
         raise TruncatedFile(
             f"{path}: {len(raw)} bytes is not a multiple of {RECORD_BYTES}"
         )
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    # widening keeps finiteness, so the float32 values are checked: half the bytes
+    data = np.frombuffer(raw, dtype="<f4")
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"{path}: cloud contains non-finite values")
-    return Scene(data.reshape(-1, 4), [], domain_tag)
+    return Scene(data.astype(np.float64).reshape(-1, 4), [], domain_tag)
 
 
 def write_cloud(scene: Scene, path: str | Path) -> None:
@@ -83,7 +84,7 @@ def write_cloud(scene: Scene, path: str | Path) -> None:
         data = scene.points.astype("<f4")
     if not np.isfinite(data).all():
         raise NonFiniteValue("refusing to write points that are not finite in float32")
-    _replace_file(path, data.tobytes())
+    _replace_file(path, data)
 
 
 def read_labels(path: str | Path) -> BoxSet:

@@ -5,7 +5,7 @@ points. Integer strides derived from the channel / points-per-channel /
 VFOV ratios of the two sensors, and the row phase nearest the target's
 beams, pick the lattice of source cells to keep: the build rasterizes
 points in those cells straight onto the target-size grid and drops every
-other point before the per-cell nearest-range sort.
+other point before choosing each cell's nearest return.
 The chain adjusts beam count, points per channel, and vertical field of
 view so a source-domain scan statistically matches a target sensor.
 """
@@ -27,6 +27,8 @@ from .geometry import (
     _check_count,
     xyz_from_spherical,
 )
+
+_BLOCK = 1 << 15  # points per block of build_range_image, whose temporaries it bounds
 
 
 class UpsampleRequired(UserWarning):
@@ -111,16 +113,27 @@ def _check_stride(v: int, h: int, row_offset: int, col_offset: int) -> None:
         raise ValueError(f"offsets ({row_offset}, {col_offset}) out of range for ({v}, {h})")
 
 
+@functools.cache
 def _lattice_spec(spec: SensorSpec, v: int, h: int, row_offset: int, col_offset: int) -> SensorSpec:
     """The grid of spec's rows == row_offset (mod v) and cols == col_offset
     (mod h), its VFOV shifted so the new (fatter) cells are centered exactly
-    on the kept source rows, whose elevations backprojection reproduces."""
+    on the kept source rows, whose elevations backprojection reproduces. Cached."""
     if v == 1 and h == 1:
         return spec
     n_rows = len(range(row_offset, spec.channels, v))
     n_cols = len(range(col_offset, spec.points_per_channel, h))
     vfov_min = spec.vfov_min + (row_offset + 0.5 * (1 - v)) * spec.row_pitch
     return SensorSpec(n_rows, n_cols, vfov_min, vfov_min + n_rows * v * spec.row_pitch)
+
+
+@functools.cache
+def _lattice_index(n: int, stride: int, offset: int, top: int) -> np.ndarray:
+    """i // stride for each raster index i in 0..n with i == offset (mod stride),
+    else -1; index n, past the axis's last cell, maps as `top`. Cached, read-only."""
+    raster = np.append(np.arange(n), top)
+    lut = np.where(raster % stride == offset, raster // stride, -1)
+    lut.flags.writeable = False
+    return lut
 
 
 def build_range_image(
@@ -138,41 +151,48 @@ def build_range_image(
     wins, ties going to the earlier point, modeling first-return behavior.
 
     With strides (v, h), points off the kept rows and columns are dropped
-    before the per-cell sort and the rest land straight on the lattice grid:
-    the image is bit for bit `downsample_range_image` of the unstrided one.
+    first and the rest land straight on the lattice grid: the image is bit
+    for bit `downsample_range_image` of the unstrided one.
     """
     _check_stride(v, h, row_offset, col_offset)
     img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset, col_offset))
-    # The steps of spherical_from_xyz, elementwise and so bit for bit, but
-    # the azimuth is only computed for points in a kept row.
-    x, y, z = scene.points[:, 0], scene.points[:, 1], scene.points[:, 2]
-    horiz = np.hypot(x, y)
-    el = np.arctan2(z, horiz)
-    rng = np.hypot(horiz, z)
-    kept = np.flatnonzero((rng > 0.0) & (el >= spec.vfov_min) & (el <= spec.vfov_max))
     n_rows, n_cols = spec.channels, spec.points_per_channel
-    rows = np.floor((el[kept] - spec.vfov_min) / spec.span * n_rows).astype(np.intp)
-    rows[rows == n_rows] = n_rows - 1  # elevation exactly at vfov_max
-    if v > 1:
-        on_row = rows % v == row_offset
-        kept, rows = kept[on_row], rows[on_row] // v
-    az = _azimuth(y[kept], x[kept])
-    cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
-    if h > 1:
-        on_col = cols % h == col_offset
-        kept, rows, cols = kept[on_col], rows[on_col], cols[on_col] // h
-    rng, inten = rng[kept], scene.intensities[kept]
-    cells = rows * img.spec.points_per_channel + cols
-    # Sort by cell then range so the first entry per cell is the nearest;
-    # the sort is stable, so a tied range keeps the earlier point first.
-    order = np.lexsort((rng, cells))
-    cells = cells[order]
+    # floor reaches n_rows at vfov_max (top row), n_cols at most next to 2pi (column 0)
+    row_index = _lattice_index(n_rows, v, row_offset, n_rows - 1)
+    col_index = _lattice_index(n_cols, h, col_offset, 0)
+    # The steps of spherical_from_xyz, elementwise and so bit for bit, in
+    # blocks of points, the azimuth and range only where the row or cell is
+    # kept. hypot(horiz, z) > 0 iff either is non-zero; NaN fails the VFOV.
+    parts = []
+    for start in range(0, max(scene.n_points, 1), _BLOCK):
+        x, y, z = scene.points[start : start + _BLOCK, :3].T
+        horiz = np.hypot(x, y)
+        el = np.arctan2(z, horiz)
+        kept = np.flatnonzero(((horiz > 0.0) | (z != 0.0)) & (el >= spec.vfov_min) & (el <= spec.vfov_max))
+        rows = row_index[np.floor((el[kept] - spec.vfov_min) / spec.span * n_rows).astype(np.intp)]
+        on = rows >= 0
+        kept, rows = kept[on], rows[on]
+        cols = col_index[np.floor(_azimuth(y[kept], x[kept]) / TWO_PI * n_cols).astype(np.intp)]
+        on = cols >= 0
+        kept, cells = kept[on], rows[on] * img.spec.points_per_channel + cols[on]
+        parts.append((kept + start, cells, np.hypot(horiz[kept], z[kept])))
+    kept, cells, rng = parts[0] if len(parts) == 1 else (np.concatenate(c) for c in zip(*parts))
+    # A cell's winner is its nearest range, ties going to the earliest point:
+    # two per-cell minimums over the points grouped by cell, so the sort's
+    # order within a cell is moot. A ray-cast scan's one point per cell needs neither.
+    order = np.argsort(cells)
+    grouped = cells[order]
     first = np.empty(cells.size, dtype=bool)
     first[:1] = True
-    np.not_equal(cells[1:], cells[:-1], out=first[1:])
-    cells, winners = cells[first], order[first]
-    img.ranges.flat[cells] = rng[winners]
-    img.intensities.flat[cells] = inten[winners]
+    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+    if not first.all():
+        starts = np.flatnonzero(first)
+        ranges = rng[order]
+        nearest = np.minimum.reduceat(ranges, starts)[np.cumsum(first) - 1]
+        winners = np.minimum.reduceat(np.where(ranges == nearest, order, cells.size), starts)
+        kept, cells, rng = kept[winners], cells[winners], rng[winners]
+    img.ranges.flat[cells] = rng
+    img.intensities.flat[cells] = scene.intensities[kept]
     return img
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import types
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidarmix.geometry import Box3D, DomainTag, Scene
+from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, _azimuth
+from lidarmix.sensor import NUSCENES_32, WAYMO_64, RangeImage, _check_stride, _lattice_spec
 
 
 def reference_points_in_box(xyz, box):
@@ -18,6 +20,45 @@ def reference_points_in_box(xyz, box):
     return np.nonzero(inside)[0]
 
 
+def reference_range_image(scene, spec, v=1, h=1, row_offset=0, col_offset=0):
+    """build_range_image as it was with one two-key lexsort of (cell, range)
+    per build: reference for the nearest-return choice that replaced it."""
+    _check_stride(v, h, row_offset, col_offset)
+    img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset, col_offset))
+    # The steps of spherical_from_xyz, elementwise and so bit for bit, but
+    # the azimuth is only computed for points in a kept row.
+    x, y, z = scene.points[:, 0], scene.points[:, 1], scene.points[:, 2]
+    horiz = np.hypot(x, y)
+    el = np.arctan2(z, horiz)
+    rng = np.hypot(horiz, z)
+    kept = np.flatnonzero((rng > 0.0) & (el >= spec.vfov_min) & (el <= spec.vfov_max))
+    n_rows, n_cols = spec.channels, spec.points_per_channel
+    rows = np.floor((el[kept] - spec.vfov_min) / spec.span * n_rows).astype(np.intp)
+    rows[rows == n_rows] = n_rows - 1  # elevation exactly at vfov_max
+    if v > 1:
+        on_row = rows % v == row_offset
+        kept, rows = kept[on_row], rows[on_row] // v
+    az = _azimuth(y[kept], x[kept])
+    cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
+    if h > 1:
+        on_col = cols % h == col_offset
+        kept, rows, cols = kept[on_col], rows[on_col], cols[on_col] // h
+    rng, inten = rng[kept], scene.intensities[kept]
+    cells = rows * img.spec.points_per_channel + cols
+    # Sort by cell then range so the first entry per cell is the nearest;
+    # the sort is stable, so a tied range keeps the earlier point first.
+    order = np.lexsort((rng, cells))
+    cells = cells[order]
+    first = np.empty(cells.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    cells, winners = cells[first], order[first]
+    img.ranges.flat[cells] = rng[winners]
+    img.intensities.flat[cells] = inten[winners]
+    return img
+
+
+@functools.cache
 def load_scans():
     """lidarbench/scans.py, the ray-cast scan generator, as a module. It is
     executed from its source, so no bytecode is written under lidarbench/."""
@@ -25,6 +66,21 @@ def load_scans():
     module = types.ModuleType("lidarbench_scans")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+@functools.cache
+def raycast_world(seed):
+    """One ray-cast world seen by both sensors: the WAYMO_64 source scan
+    (about 115k points), the native NUSCENES_32 scan (about 25k) and the 25
+    cars. Cached, so each seed is ray-cast once per session; the points are
+    read-only, as every test shares them."""
+    scans = load_scans()
+    rng = np.random.default_rng(seed)
+    cars = scans.place_cars(rng, 25)
+    source = scans.raycast_scan(rng, WAYMO_64, cars, DomainTag.SOURCE)
+    native = scans.raycast_scan(rng, NUSCENES_32, cars, DomainTag.TARGET_LABELED)
+    source.points.flags.writeable = native.points.flags.writeable = False
+    return source, native, cars
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cluster_scene, random_box, reference_points_in_box
-from lidarmix import adversarial, geometry
+from conftest import cluster_scene, random_box, raycast_world, reference_points_in_box
+from lidarmix import adversarial, geometry, synth
 from lidarmix.adversarial import (
     EmptyBoxList,
     GradientField,
@@ -281,15 +281,30 @@ class PaddedFieldProvider(SurrogateProvider):
 
 
 class WrappingMembersProvider(SurrogateProvider):
-    """Surrogate loss whose members name point -1, which numpy would wrap
-    onto the last point."""
+    """Surrogate loss whose first member is point -1, which numpy would wrap
+    onto the last point, or with `past_the_end` point n_points."""
+
+    def __init__(self, past_the_end=False):
+        self.past_the_end = past_the_end
 
     def loss_and_gradient(self, scene, boxes):
         loss, field = super().loss_and_gradient(scene, boxes)
         indptr, indices = field.members
         indices = indices.copy()
-        indices[0] = -1
+        indices[0] = scene.n_points if self.past_the_end else -1
         return loss, GradientField(field.grads, (indptr, indices))
+
+
+class RetypedMembersProvider(SurrogateProvider):
+    """Surrogate loss whose member indices are cast to `dtype`."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = super().loss_and_gradient(scene, boxes)
+        indptr, indices = field.members
+        return loss, GradientField(field.grads, (indptr, indices.astype(self.dtype)))
 
 
 def reference_perturb(scene, boxes, provider, cfg, rng):
@@ -469,6 +484,24 @@ class TestAdversarialPerturb:
                 bare, scene.boxes, WrappingMembersProvider(), PerturbationConfig(), rng
             )
 
+    def test_rejects_member_one_past_the_last_point(self, rng):
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        with pytest.raises(ValueError, match="members name points outside"):
+            adversarial_perturb_detailed(
+                bare, scene.boxes, WrappingMembersProvider(past_the_end=True), PerturbationConfig(), rng
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_rejects_members_that_are_not_integers(self, dtype):
+        # float indices used to fail with a bare IndexError from numpy
+        labeled = synth.synthesize_dataset(0).target_labeled[0]
+        scene = Scene(labeled.points, [], DomainTag.TARGET_UNLABELED)
+        with pytest.raises(ValueError, match="members must be integer point indices"):
+            adversarial_perturb_detailed(
+                scene, labeled.boxes, RetypedMembersProvider(dtype), PerturbationConfig(), np.random.default_rng(0)
+            )
+
     def test_no_boxes_is_noop(self, rng):
         scene = cluster_scene(rng, [(10, 0, 0)])
         bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
@@ -477,6 +510,28 @@ class TestAdversarialPerturb:
         )
         assert np.array_equal(out.points, bare.points)
         assert outcome.candidates == 0
+
+
+class TestPerturbAtScanScale:
+    """A ray-cast 32-beam scan (about 25k points) with its 25 cars, a little
+    loose and scored, as pseudo boxes: the perturbation equals the
+    per-point reference bit for bit, with and without the loss's members."""
+
+    @pytest.mark.parametrize(
+        "provider",
+        [SurrogateProvider(), MembersLessProvider(SurrogateProvider())],
+        ids=["members", "members-less"],
+    )
+    def test_matches_per_point_reference(self, provider):
+        _, native, cars = raycast_world(0)
+        scene = Scene(native.points, [], DomainTag.TARGET_UNLABELED)
+        pseudo = [dataclasses.replace(b, w=b.w + 0.2, l=b.l + 0.2, h=b.h + 0.2, score=0.9) for b in cars]
+        cfg = PerturbationConfig()
+        out, outcome = adversarial_perturb_detailed(scene, pseudo, provider, cfg, np.random.default_rng(7))
+        ref_points, ref_outcome = reference_perturb(scene, pseudo, provider, cfg, np.random.default_rng(7))
+        assert out.points.tobytes() == ref_points.tobytes()
+        assert outcome == ref_outcome
+        assert min(outcome.translated, outcome.added, outcome.removed) > 100
 
 
 class TestPointMixup:

@@ -64,6 +64,13 @@ class TestCloudFiles:
         with pytest.raises(NonFiniteValue):
             read_cloud(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refusal_names_the_file(self, tmp_path, bad):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(np.array([[1.0, 2.0, 3.0, 0.5], [4.0, bad, 6.0, 0.5]], dtype="<f4").tobytes())
+        with pytest.raises(NonFiniteValue, match=f"^{re.escape(str(path))}: cloud contains non-finite values$"):
+            read_cloud(path)
+
     def test_non_finite_rejected_on_write(self, tmp_path):
         path = tmp_path / "x.bin"
         write_cloud(Scene(np.ones((2, 4))), path)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import cluster_scene, load_scans
-from lidarmix import sensor
+from conftest import cluster_scene, raycast_world
 from lidarmix.geometry import Box3D, BoxSet, DomainTag, Scene, points_in_box
 from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import PipelineConfig, generate_pseudo_labels, run_full
@@ -240,12 +239,10 @@ class TestDenseGridEquivalence:
         for scene in bundle.source + bundle.target_labeled + bundle.target_unlabeled:
             assert_same_bytes(oracle, scene)
 
-    @pytest.mark.parametrize("spec", [sensor.WAYMO_64, sensor.NUSCENES_32], ids=["64x2200", "32x1100"])
-    def test_raycast_scans(self, spec):
+    @pytest.mark.parametrize("sensor_index", [0, 1], ids=["64x2200", "32x1100"])
+    def test_raycast_scans(self, sensor_index):
         # real scan density: about 115k and 25k points, 25 cars on a ground plane
-        scans = load_scans()
-        rng = np.random.default_rng(0)
-        scene = scans.raycast_scan(rng, spec, scans.place_cars(rng, 25), DomainTag.TARGET_UNLABELED)
+        scene = raycast_world(0)[sensor_index]
         assert scene.n_points > 20_000
         assert_same_bytes(GridClusterOracle(), scene)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_scans
+from conftest import raycast_world, reference_range_image
 from lidarmix import sensor
 from lidarmix.geometry import DomainTag, Scene, assign_points, spherical_from_xyz, xyz_from_spherical
 from lidarmix.sensor import (
@@ -163,6 +163,108 @@ class TestStridedBuild:
             downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset, col_offset)
         with pytest.raises(ValueError, match=re.escape(str(from_downsample.value))):
             build_range_image(scene, SMALL, v, h, row_offset, col_offset)
+
+
+def assert_same_image(got, want):
+    assert got.spec == want.spec
+    assert got.ranges.tobytes() == want.ranges.tobytes()
+    assert got.intensities.tobytes() == want.intensities.tobytes()
+
+
+# Unstrided, and each stride of SMALL with an offset that keeps row 3 and
+# column 5 of the source grid and one that drops them.
+SMALL_STRIDES = [(1, 1, 0, 0), (2, 2, 1, 1), (2, 2, 0, 0), (4, 2, 3, 1), (4, 2, 2, 1)]
+
+
+class TestNearestReturn:
+    """build_range_image against the two-key lexsort it replaced
+    (conftest.reference_range_image), byte for byte. A tie-break bug that
+    the strided and unstrided builds shared would pass TestStridedBuild."""
+
+    @given(strided_cases(), st.integers(1, 128))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lexsort_reference_at_every_offset(self, case, block):
+        # The build works through the points in blocks of sensor._BLOCK, here
+        # one block or many: a cell's points, tied or not, may straddle them.
+        # raising=False: the test also runs against a build without blocks.
+        scene, spec, v, h = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sensor, "_BLOCK", block, raising=False)
+            for row_offset in range(v):
+                for col_offset in range(h):
+                    stride = (v, h, row_offset, col_offset)
+                    assert_same_image(build_range_image(scene, spec, *stride), reference_range_image(scene, spec, *stride))
+
+    @staticmethod
+    def cell_points(ranges, intensities, others=0):
+        """Points at the centre of SMALL's row 3, column 5, at the given
+        ranges, after `others` points in other cells of the grid."""
+        cells = all_cell_centers(SMALL)
+        az, el, _ = cells[3 * SMALL.points_per_channel + 5]
+        filler = cells[np.random.default_rng(0).choice(np.arange(1, 40), size=others, replace=False)]
+        aer = np.vstack([filler, [[az, el, r] for r in ranges]])
+        return scene_from_spherical(aer, np.concatenate([np.linspace(0.01, 0.02, others), intensities]))
+
+    @pytest.mark.parametrize("stride", SMALL_STRIDES)
+    def test_later_nearer_point_wins(self, stride):
+        scene = self.cell_points([10.0, 7.0, 5.0, 9.0], [0.2, 0.4, 0.8, 0.6], others=5)
+        img = build_range_image(scene, SMALL, *stride)
+        assert_same_image(img, reference_range_image(scene, SMALL, *stride))
+        kept = 3 % stride[0] == stride[2] and 5 % stride[1] == stride[3]
+        assert (0.8 in img.intensities) == kept
+
+    @pytest.mark.parametrize("stride", SMALL_STRIDES)
+    def test_three_tied_points_keep_the_earliest(self, stride):
+        # the nearest range three times, at input positions 7, 9 and 10
+        scene = self.cell_points([12.0, 6.0, 8.0, 6.0, 6.0], [0.3, 0.5, 0.9, 0.7, 0.6], others=6)
+        img = build_range_image(scene, SMALL, *stride)
+        assert_same_image(img, reference_range_image(scene, SMALL, *stride))
+        kept = 3 % stride[0] == stride[2] and 5 % stride[1] == stride[3]
+        assert (0.5 in img.intensities) == kept
+        assert 0.7 not in img.intensities and 0.6 not in img.intensities
+
+    @pytest.mark.parametrize("row_offset", [1, 0], ids=["kept", "dropped"])
+    def test_elevation_at_vfov_max(self, row_offset):
+        # the top row, 15, is kept at offset 1 of stride 2 and dropped at 0
+        top = np.array([[4.0, -3.0, 1.5]])
+        vfov_max = spherical_from_xyz(top)[0, 1]
+        spec = SensorSpec(16, 64, vfov_max - 0.4, vfov_max)
+        # doubling a point keeps its elevation bits; the nearest is second
+        scene = Scene(np.column_stack([np.vstack([2.0 * top, top, 3.0 * top]), [0.1, 0.5, 0.9]]))
+        img = build_range_image(scene, spec, 2, 1, row_offset, 0)
+        assert_same_image(img, reference_range_image(scene, spec, 2, 1, row_offset, 0))
+        assert img.n_occupied == row_offset
+        assert img.intensities[-1].tolist().count(0.5) == row_offset
+
+    @pytest.mark.parametrize("col_offset", [0, 1])
+    def test_azimuth_just_below_two_pi(self, col_offset):
+        # y = -1e-12 is the last column; y = -1e-300 folds to azimuth 0
+        el = 0.5 * (SMALL.vfov_min + SMALL.vfov_max)
+        z = 10.0 * math.tan(el)
+        xyz = [[10.0, -1e-12, z], [20.0, -1e-12, 2 * z], [10.0, -1e-300, z], [10.0, 0.0, z]]
+        scene = Scene(np.column_stack([xyz, [0.2, 0.4, 0.6, 0.8]]))
+        img = build_range_image(scene, SMALL, 1, 2, 0, col_offset)
+        assert_same_image(img, reference_range_image(scene, SMALL, 1, 2, 0, col_offset))
+        occupied = set(img.intensities[img.ranges > 0].tolist())
+        assert occupied == ({0.2} if col_offset else {0.6})
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_raycast_source_at_the_published_strides(self, seed):
+        source = raycast_world(seed)[0]
+        v, h = downsample_factors(WAYMO_64, NUSCENES_32)
+        for row_offset in range(v):
+            for col_offset in range(h):
+                stride = (v, h, row_offset, col_offset)
+                got = build_range_image(source, WAYMO_64, *stride)
+                assert_same_image(got, reference_range_image(source, WAYMO_64, *stride))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_raycast_source_on_the_coarser_grid(self, seed):
+        # about four 64-beam returns per NUSCENES_32 cell: the per-cell
+        # minimums at scan size
+        source = raycast_world(seed)[0]
+        got = build_range_image(source, NUSCENES_32)
+        assert_same_image(got, reference_range_image(source, NUSCENES_32))
 
 
 class TestDownsampleFactors:
@@ -453,13 +555,9 @@ FIDELITY_SEEDS = range(8)
 
 @functools.cache
 def fidelity_case(seed):
-    """One ray-cast world seen by both sensors: the WAYMO_64 scan matched to
-    NUSCENES_32, the native NUSCENES_32 scan, and the 25 cars."""
-    scans = load_scans()
-    rng = np.random.default_rng(seed)
-    cars = scans.place_cars(rng, 25)
-    source = scans.raycast_scan(rng, WAYMO_64, cars, DomainTag.SOURCE)
-    native = scans.raycast_scan(rng, NUSCENES_32, cars, DomainTag.TARGET_LABELED)
+    """The ray-cast world of `seed`: its WAYMO_64 scan matched to NUSCENES_32,
+    the native NUSCENES_32 scan, and the 25 cars."""
+    source, native, cars = raycast_world(seed)
     return lidar_distribution_match(source, WAYMO_64, NUSCENES_32), native, cars
 
 
