@@ -120,7 +120,8 @@ def surrogate_loss(scene: Scene, boxes: Sequence[Box3D]) -> tuple[float, Gradien
             u = (slope / r) * centroid
             grads[indices[start:stop]] += (u / (stop - start)) @ rotation.T
     n = len(boxes)
-    return total / n, GradientField(grads / n, (indptr, indices))
+    grads /= n  # in place: no second (N, 3) array
+    return total / n, GradientField(grads, (indptr, indices))
 
 
 def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:

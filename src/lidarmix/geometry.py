@@ -67,17 +67,10 @@ def _azimuth(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def normalize_yaw(yaw):
-    """Wrap heading(s) into [-pi, pi). Idempotent: in-range values pass
+def normalize_yaw(yaw: float) -> float:
+    """Wrap a heading into [-pi, pi). Idempotent: an in-range value passes
     through bit-identical."""
-    if type(yaw) is float:
-        return yaw if -math.pi <= yaw < math.pi else wrap_azimuth(yaw + math.pi) - math.pi
-    in_range = np.logical_and(np.greater_equal(yaw, -math.pi), np.less(yaw, math.pi))
-    wrapped = wrap_azimuth(np.asarray(yaw, dtype=np.float64) + math.pi) - math.pi
-    out = np.where(in_range, yaw, wrapped)
-    if np.ndim(yaw) == 0:
-        return float(out)
-    return out
+    return yaw if -math.pi <= yaw < math.pi else wrap_azimuth(yaw + math.pi) - math.pi
 
 
 def spherical_from_xyz(xyz: np.ndarray) -> np.ndarray:

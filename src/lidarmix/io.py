@@ -127,15 +127,6 @@ def write_labels(boxes: Sequence[Box3D], path: str | Path) -> None:
     _replace_file(path, text.encode("utf-8"))
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
 # Every config key and the PipelineConfig attribute it sets, in file order.
 # A numeric path part indexes a tuple. A key ending in _deg holds degrees of
 # an attribute in radians.
@@ -163,7 +154,6 @@ _CONFIG_KEYS = {
     "mode_weight_translate": "perturbation.mode_weights.0",
     "mode_weight_add": "perturbation.mode_weights.1",
     "mode_weight_remove": "perturbation.mode_weights.2",
-    "augment_labeled": "augment_labeled",
 }
 
 
@@ -210,11 +200,8 @@ def parse_config(text: str) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        # each key's parser is the type of its default; bool("false") is
-        # True, so booleans get _parse_bool
-        default = _config_value(defaults, key)
-        try:
-            parsed = _parse_bool(value) if isinstance(default, bool) else type(default)(value)
+        try:  # each key's parser is the type of its default, int or float
+            parsed = type(_config_value(defaults, key))(value)
             if isinstance(parsed, float) and not math.isfinite(parsed):
                 raise ValueError(f"{value!r} is not finite")
         except ValueError as exc:
@@ -237,9 +224,7 @@ def format_config(cfg: PipelineConfig) -> str:
         value = _config_value(cfg, key)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} = {value} is not finite")
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = f"{value:.9g}" if key.endswith("_deg") else repr(value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

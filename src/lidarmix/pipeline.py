@@ -60,7 +60,6 @@ class PipelineConfig:
     epochs_am: int = 1
     pseudo_score_threshold: float = 0.3
     seed: int = 0
-    augment_labeled: bool = True
 
     def __post_init__(self):
         for name in ("p_tm", "p_am", "pseudo_score_threshold"):
@@ -243,17 +242,18 @@ def run_advmix_stage(
     cfg: PipelineConfig,
     target_labeled: Sequence[Scene],
     pseudo_labeled: Sequence[Scene],
-    teacher: DetectorOracle,
-    student: DetectorOracle,
+    oracle: DetectorOracle,
 ) -> StageReport:
-    """Stage 2: per sample, perturb an unlabeled scene adversarially with
-    the frozen teacher as gradient provider, form the (AM, PM) branch pair
-    (mixup with a labeled scene with probability p_am), and evaluate the
-    student's detection losses plus the weighted consistency term.
+    """Stage 2: per sample, perturb an unlabeled scene adversarially along
+    the oracle's gradient, form the (AM, PM) branch pair (mixup with a
+    labeled scene with probability p_am), and evaluate the oracle's
+    detection losses plus the weighted consistency term. The one oracle is
+    both the frozen teacher and the student: nothing trains.
 
-    The random rigid-transform augmentation is gated to target-labeled
-    scenes only. One-sided-empty consistency samples are skipped: they
-    count in consistency_skipped and stay out of mean_consistency_loss.
+    The labeled scene of each sample gets a random rigid transform; the
+    unlabeled one does not. One-sided-empty consistency samples are
+    skipped: they count in consistency_skipped and stay out of
+    mean_consistency_loss.
     """
     if not target_labeled or not pseudo_labeled:
         raise EmptyDataset("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
@@ -266,10 +266,9 @@ def run_advmix_stage(
         total_losses = []
         cons_values = []
         for labeled, unlabeled, _ in _slot_pairs(rng, target_labeled, pseudo_labeled):
-            if cfg.augment_labeled:
-                labeled = apply_rigid_transform(labeled, *_random_rigid_params(rng))
+            labeled = apply_rigid_transform(labeled, *_random_rigid_params(rng))
             adv, outcome = adversarial_perturb_detailed(
-                unlabeled, unlabeled.boxes, teacher, cfg.perturbation, rng
+                unlabeled, unlabeled.boxes, oracle, cfg.perturbation, rng
             )
             stats.points_total += unlabeled.n_points
             stats.points_candidates += outcome.candidates
@@ -283,10 +282,10 @@ def run_advmix_stage(
             scene_am, scene_pm, mixed = advmix_sample(rng, cfg.p_am, labeled, adv, unlabeled)
             if mixed:
                 stats.mixed_scenes += 1
-            det = _detection_loss(student, scene_am) + _detection_loss(student, scene_pm)
+            det = _detection_loss(oracle, scene_am) + _detection_loss(oracle, scene_pm)
             det_losses.append(det)
             try:
-                cons = consistency_loss(student.predict(scene_am), student.predict(scene_pm))
+                cons = consistency_loss(oracle.predict(scene_am), oracle.predict(scene_pm))
                 cons_values.append(cons)
                 total_losses.append(det + cfg.lam * cons)
             except OneSidedEmpty:
@@ -316,7 +315,7 @@ def run_full(
     pseudo = generate_pseudo_labels(
         oracle, datasets.target_unlabeled, cfg.pseudo_score_threshold, stats
     )
-    report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle, oracle)
+    report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle)
     report_am.pseudo_boxes_discarded = stats.discarded
     logger.info(
         "pipeline done: pseudo kept=%d discarded=%d", stats.kept, stats.discarded

@@ -107,9 +107,12 @@ class RangeImage:
 
 
 def _check_stride(v: int, h: int, row_offset: int, col_offset: int) -> None:
-    if v < 1 or h < 1:
-        raise ValueError(f"stride factors must be >= 1, got ({v}, {h})")
-    if not (0 <= row_offset < v and 0 <= col_offset < h):
+    """Strides are integers >= 1, offsets integers in [0, stride): no bool or float."""
+    _check_count("v", v)
+    _check_count("h", h)
+    _check_count("row_offset", row_offset, 0)
+    _check_count("col_offset", col_offset, 0)
+    if not (row_offset < v and col_offset < h):
         raise ValueError(f"offsets ({row_offset}, {col_offset}) out of range for ({v}, {h})")
 
 
@@ -256,10 +259,10 @@ def downsample_range_image(
     return RangeImage(ranges, intensities, _lattice_spec(img.spec, v, h, row_offset, col_offset))
 
 
-def backproject(img: RangeImage, domain_tag: DomainTag = DomainTag.SOURCE) -> Scene:
+def backproject(img: RangeImage) -> Scene:
     """Emit one point per occupied cell, at the cell-center azimuth and
     elevation with the stored range and intensity. Boxes are the caller's
-    business."""
+    business. The scene is SOURCE-tagged, as matching's input is."""
     rows, cols = np.nonzero(img.ranges > 0.0)
     spec = img.spec
     el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
@@ -267,7 +270,7 @@ def backproject(img: RangeImage, domain_tag: DomainTag = DomainTag.SOURCE) -> Sc
     rng = img.ranges[rows, cols]
     xyz = xyz_from_spherical(np.column_stack([az, el, rng]))
     pts = np.column_stack([xyz, img.intensities[rows, cols]])
-    return Scene(pts, [], domain_tag)
+    return Scene(pts)
 
 
 def lidar_distribution_match(scene: Scene, src: SensorSpec, tgt: SensorSpec) -> Scene:

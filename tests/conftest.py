@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import types
 from pathlib import Path
 
@@ -59,11 +60,13 @@ def reference_range_image(scene, spec, v=1, h=1, row_offset=0, col_offset=0):
 
 
 @functools.cache
-def load_scans():
-    """lidarbench/scans.py, the ray-cast scan generator, as a module. It is
-    executed from its source, so no bytecode is written under lidarbench/."""
-    path = Path(__file__).resolve().parents[1] / "lidarbench" / "scans.py"
-    module = types.ModuleType("lidarbench_scans")
+def load_bench_module(name):
+    """lidarbench/<name>.py as the module lidarbench_<name>, registered in
+    sys.modules, where dataclasses look their module up. It is executed from
+    its source, so no bytecode is written under lidarbench/."""
+    path = Path(__file__).resolve().parents[1] / "lidarbench" / f"{name}.py"
+    module = types.ModuleType(f"lidarbench_{name}")
+    sys.modules[module.__name__] = module
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
@@ -74,7 +77,7 @@ def raycast_world(seed):
     (about 115k points), the native NUSCENES_32 scan (about 25k) and the 25
     cars. Cached, so each seed is ray-cast once per session; the points are
     read-only, as every test shares them."""
-    scans = load_scans()
+    scans = load_bench_module("scans")
     rng = np.random.default_rng(seed)
     cars = scans.place_cars(rng, 25)
     source = scans.raycast_scan(rng, WAYMO_64, cars, DomainTag.SOURCE)

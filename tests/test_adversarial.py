@@ -666,7 +666,7 @@ def _advmix_epoch(rng, samples):
         for _ in range(len(samples) - 1)
     ]
     student = ScriptedStudent(samples)
-    (epoch,) = run_advmix_stage(PipelineConfig(), labeled, pseudo, student, student).epochs
+    (epoch,) = run_advmix_stage(PipelineConfig(), labeled, pseudo, student).epochs
     assert next(student.answers, None) is None, "script and stage disagree on sample count"
     return epoch
 

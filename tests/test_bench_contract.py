@@ -4,26 +4,13 @@ renaming a traced function fails here rather than as a missing entry in a
 benchmark run."""
 
 import importlib
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
+from conftest import load_bench_module
 from lidarmix.oracle import GridClusterOracle
 
-TRACING = Path(__file__).resolve().parents[1] / "lidarbench" / "tracing.py"
-
-
-def _load_tracing():
-    # executed from its source, so no bytecode is written under lidarbench/
-    module = types.ModuleType("lidarbench_tracing")
-    sys.modules[module.__name__] = module  # dataclasses look their module up
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    return module
-
-
-ENTRIES = _load_tracing().ENTRIES
+ENTRIES = load_bench_module("tracing").ENTRIES
 
 
 def test_entries_listed():

@@ -116,7 +116,8 @@ class TestSequence:
 
     @settings(max_examples=200, deadline=None)
     @given(box_lists, st.data())
-    def test_subset_inherits_the_parents_frames(self, bs, data):
+    def test_subset_frames_match_a_fresh_box_set(self, bs, data):
+        # a subset computes its own frames from its rows, after the parent's
         parent = BoxSet.of(bs)
         parent.frames()
         key = data.draw(subset_keys(len(bs)))
@@ -124,10 +125,10 @@ class TestSequence:
         if isinstance(key, np.ndarray):  # the caller's key may change after the subset is taken
             key[...] = 0
         fresh = BoxSet(subset.data).frames()
-        for inherited, computed in zip(subset.frames(), fresh):
-            assert inherited.shape == computed.shape
-            assert inherited.tobytes() == computed.tobytes()
-            assert not inherited.flags.writeable
+        for got, computed in zip(subset.frames(), fresh):
+            assert got.shape == computed.shape
+            assert got.tobytes() == computed.tobytes()
+            assert not got.flags.writeable
 
 
 class TestValidation:
@@ -146,8 +147,7 @@ class TestValidation:
         rows = [[0.0, 0.0, 0.0, 1.0, 1.0, 1.0, y, 0.0, math.nan] for y in ys]
         got = BoxSet(rows).data[:, 6]
         one_by_one = np.array([normalize_yaw(y) for y in ys])
-        as_array = normalize_yaw(np.array(ys))
-        assert got.tobytes() == one_by_one.tobytes() == as_array.tobytes()
+        assert got.tobytes() == one_by_one.tobytes()
         assert [b.yaw for b in BoxSet(rows)] == [Box3D(0, 0, 0, 1, 1, 1, y).yaw for y in ys]
 
     def test_rejects_wrong_shape(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_scans, random_box, random_scene
+from conftest import load_bench_module, random_box, random_scene
 from lidarmix.adversarial import PerturbationConfig
 from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.io import (
@@ -219,7 +219,7 @@ class TestLabelText:
     def test_scan_dense_labels_match_reference(self, tmp_path):
         # the scan-dense label sets: ground-truth cars, and the same cars as
         # loosened, scored pseudo-labels
-        scans = load_scans()
+        scans = load_bench_module("scans")
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
         for i in range(6):
             cars = scans.place_cars(rng, 25)
@@ -267,7 +267,7 @@ class TestConfig:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_custom_round_trip(self):
-        cfg = PipelineConfig(p_tm=0.25, seed=99, epochs_tm=3, augment_labeled=False)
+        cfg = PipelineConfig(p_tm=0.25, seed=99, epochs_tm=3)
         assert parse_config(format_config(cfg)) == cfg
 
     def test_float_precision_survives_save_and_load(self, tmp_path):
@@ -308,6 +308,10 @@ class TestConfig:
         # the reference detector's smooth-L1 knee is fixed at 1 m
         with pytest.raises(ConfigError, match="unknown key 'smooth_l1_knee'"):
             parse_config("smooth_l1_knee = 1.0\n")
+        # stage 2 always transforms the labeled scene; a config.txt that an
+        # older `lidarmix synth` wrote holds this key and is refused too
+        with pytest.raises(ConfigError, match="unknown key 'augment_labeled'"):
+            parse_config("augment_labeled = true\n")
 
     def test_readme_table_names_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -415,7 +419,6 @@ class TestConfig:
             values[key] = data.draw(unit)
         for key in ("k_sectors", "epochs_tm", "epochs_am"):
             values[key] = data.draw(st.integers(1, 8))
-        values["augment_labeled"] = "true" if data.draw(st.booleans()) else "false"
         values["lambda"] = data.draw(st.floats(0.0, 1e6))
         values["epsilon"] = data.draw(st.floats(1e-12, 10.0))
         values["seed"] = data.draw(st.integers(-(2**63), 2**63 - 1))
@@ -431,7 +434,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("epochs_tm = many\n")
         with pytest.raises(ConfigError):
-            parse_config("augment_labeled = maybe\n")
+            parse_config("p_tm = maybe\n")
 
     def test_degrees_converted_once(self):
         cfg = parse_config("source_vfov_min_deg = -17.6\n")

@@ -186,41 +186,35 @@ class TestAdvmixStage:
         return labeled, pseudo
 
     def test_lambda_zero_total_equals_detection(self, bundle):
-        teacher = GridClusterOracle()
-        pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
+        oracle = GridClusterOracle()
+        pseudo = generate_pseudo_labels(oracle, bundle.target_unlabeled, 0.3)
         cfg = small_cfg(lam=0.0)
-        report = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher)
+        report = run_advmix_stage(cfg, bundle.target_labeled, pseudo, oracle)
         for e in report.epochs:
             assert e.mean_total_loss == pytest.approx(e.mean_detection_loss, abs=1e-12)
 
     def test_deterministic(self, bundle):
-        teacher = GridClusterOracle()
-        pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
+        oracle = GridClusterOracle()
+        pseudo = generate_pseudo_labels(oracle, bundle.target_unlabeled, 0.3)
         cfg = small_cfg(epochs_am=2)
-        r1 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher)
-        r2 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, teacher, teacher)
+        r1 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, oracle)
+        r2 = run_advmix_stage(cfg, bundle.target_labeled, pseudo, oracle)
         assert r1.to_json() == r2.to_json()
 
     def test_requires_labeled_set(self, bundle):
         with pytest.raises(EmptyDataset):
-            run_advmix_stage(small_cfg(), [], [], GridClusterOracle(), GridClusterOracle())
+            run_advmix_stage(small_cfg(), [], [], GridClusterOracle())
 
     def test_zero_unlabeled_raises(self, bundle):
         # an epoch over no samples would report all-zero losses
         with pytest.raises(EmptyDataset):
-            run_advmix_stage(
-                small_cfg(), bundle.target_labeled, [], GridClusterOracle(), GridClusterOracle()
-            )
+            run_advmix_stage(small_cfg(), bundle.target_labeled, [], GridClusterOracle())
 
     def test_augmentation_gated_to_labeled_scenes(self, rng):
         labeled, pseudo = self.make_sets(rng)
         recorder = RecordingOracle()
-        cfg = small_cfg(
-            p_am=1.0,
-            perturbation=PerturbationConfig(rho=0.0),
-            augment_labeled=True,
-        )
-        run_advmix_stage(cfg, labeled, pseudo, recorder, recorder)
+        cfg = small_cfg(p_am=1.0, perturbation=PerturbationConfig(rho=0.0))
+        run_advmix_stage(cfg, labeled, pseudo, recorder)
         n_lab = labeled[0].n_points
         n_unlab = pseudo[0].n_points
         assert recorder.predicted, "stub oracle never saw a scene"
@@ -231,18 +225,6 @@ class TestAdvmixStage:
             assert scene.n_points == n_lab + n_unlab
             assert np.array_equal(scene.points[n_lab:], pseudo[0].points)
             assert not np.array_equal(scene.points[:n_lab], labeled[0].points)
-
-    def test_augmentation_disabled_passes_labeled_through(self, rng):
-        labeled, pseudo = self.make_sets(rng)
-        recorder = RecordingOracle()
-        cfg = small_cfg(
-            p_am=1.0,
-            perturbation=PerturbationConfig(rho=0.0),
-            augment_labeled=False,
-        )
-        run_advmix_stage(cfg, labeled, pseudo, recorder, recorder)
-        for scene in recorder.predicted:
-            assert np.array_equal(scene.points[: labeled[0].n_points], labeled[0].points)
 
     def test_every_scene_has_its_own_slot_each_epoch(self, rng):
         # constant intensities tag each scene; with p_am = 1 and rho = 0
@@ -259,7 +241,7 @@ class TestAdvmixStage:
         slots = [0, 1, 10, 11, 12]
         recorder = RecordingOracle()
         cfg = small_cfg(p_am=1.0, perturbation=PerturbationConfig(rho=0.0), epochs_am=4)
-        report = run_advmix_stage(cfg, labeled, pseudo, GridClusterOracle(), recorder)
+        report = run_advmix_stage(cfg, labeled, pseudo, recorder)
         samples = [sorted(set(s.intensities.tolist())) for s in recorder.predicted[::2]]
         assert [e.scenes_processed for e in report.epochs] == [5] * 4
         assert len(samples) == 4 * 5
@@ -271,11 +253,9 @@ class TestAdvmixStage:
             assert np.asarray(cost)[rows, cols].sum() == 0
 
     def test_perturbation_counts_ordering(self, bundle):
-        teacher = GridClusterOracle()
-        pseudo = generate_pseudo_labels(teacher, bundle.target_unlabeled, 0.3)
-        report = run_advmix_stage(
-            small_cfg(), bundle.target_labeled, pseudo, teacher, teacher
-        )
+        oracle = GridClusterOracle()
+        pseudo = generate_pseudo_labels(oracle, bundle.target_unlabeled, 0.3)
+        report = run_advmix_stage(small_cfg(), bundle.target_labeled, pseudo, oracle)
         for e in report.epochs:
             assert e.points_perturbed + e.points_added + e.points_removed <= e.points_candidates
             assert e.points_candidates <= e.points_total
@@ -312,17 +292,17 @@ class TestRunFull:
             seen["pseudo"] = oracle
             return generate_pseudo_labels(oracle, *args)
 
-        def advmix(cfg, labeled, pseudo, teacher, student):
-            seen["teacher"], seen["student"] = teacher, student
-            return run_advmix_stage(cfg, labeled, pseudo, teacher, student)
+        def advmix(cfg, labeled, pseudo, oracle):
+            seen["advmix"] = oracle
+            return run_advmix_stage(cfg, labeled, pseudo, oracle)
 
         monkeypatch.setattr(pipeline, "generate_pseudo_labels", pseudo_label)
         monkeypatch.setattr(pipeline, "run_advmix_stage", advmix)
         oracle = GridClusterOracle()
         run_full(small_cfg(), bundle, oracle)
-        assert seen["pseudo"] is seen["teacher"] is seen["student"] is oracle
+        assert seen["pseudo"] is seen["advmix"] is oracle
         run_full(small_cfg(), bundle)
-        assert seen["pseudo"] is seen["teacher"] is seen["student"]
+        assert seen["pseudo"] is seen["advmix"]
 
     def test_deterministic_end_to_end(self, bundle):
         a = run_full(small_cfg(), bundle)

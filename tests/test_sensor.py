@@ -164,6 +164,19 @@ class TestStridedBuild:
         with pytest.raises(ValueError, match=re.escape(str(from_downsample.value))):
             build_range_image(scene, SMALL, v, h, row_offset, col_offset)
 
+    @pytest.mark.parametrize(
+        "v, h, row_offset, col_offset",
+        [(True, 1, 0, 0), (2.0, 1, 0, 0), (1, np.float64(2), 0, 0), (2, 2, 1.0, 0), (2, 2, 0, True)],
+    )
+    def test_non_integer_strides_refused(self, v, h, row_offset, col_offset):
+        # range and slicing would take True as 1 and fail on a float with a
+        # TypeError, so both are refused as non-integers before either runs
+        scene = scene_from_spherical(all_cell_centers(SMALL))
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_range_image(scene, SMALL, v, h, row_offset, col_offset)
+        with pytest.raises(ValueError, match="must be an integer"):
+            downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset, col_offset)
+
 
 def assert_same_image(got, want):
     assert got.spec == want.spec

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from lidarmix.geometry import DomainTag, points_in_box, spherical_from_xyz
+from conftest import raycast_world
+from lidarmix.geometry import BoxSet, DomainTag, points_in_box, spherical_from_xyz
 from lidarmix.sensor import NUSCENES_32, WAYMO_64
 from lidarmix.synth import synthesize_dataset, synthesize_scene
 
@@ -109,3 +112,26 @@ class TestSynthesizeDataset:
     def test_zero_role_counts_are_valid(self):
         bundle = synthesize_dataset(0, n_source=0, n_labeled=0, n_unlabeled=0)
         assert bundle.source == bundle.target_labeled == bundle.target_unlabeled == []
+
+
+# sha256 of the ray-cast world's source points, native points and car rows
+# (BoxSet data) per seed, so that moving the generator is shown bit for bit.
+RAYCAST_DIGESTS = {
+    0: (
+        "19ce3911df3dd2760ae95ea3805a79f2f6e6d5c683f4dea6afbf4f40316c402a",
+        "feb62bb3b6b6768fc543777e639e476f4ce78ab42ad31d5a467a32ef134d97c2",
+        "c67ce496c05d92c7ca0e837c4330f414956f1da5b16088adc5346a74dbe318b4",
+    ),
+    1: (
+        "042c598e010569240501fced942fc5d4a87292c894cccc685db100d18f8b153e",
+        "a3b6126070b8d2c1e3f7c3b871dc3c393191a9d0195d897baf80dd7603b9f1d3",
+        "e85bad136a2f93253d50947b7637a8b80d7eb77226828de6c794025b31df5d6b",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RAYCAST_DIGESTS))
+def test_raycast_world_is_pinned(seed):
+    source, native, cars = raycast_world(seed)
+    arrays = (source.points, native.points, BoxSet.of(cars).data)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == RAYCAST_DIGESTS[seed]
