@@ -6,7 +6,6 @@ two-stage teacher-student pipeline over scene collections.
 """
 
 from .adversarial import (
-    EmptyBoxList,
     GradientField,
     GradientProvider,
     OneSidedEmpty,
@@ -22,7 +21,6 @@ from .geometry import (
     Box3D,
     BoxSet,
     DomainTag,
-    NonPositiveScale,
     Scene,
     apply_rigid_transform,
     assign_points,
@@ -46,7 +44,6 @@ from .pipeline import (
 )
 from .sector_mix import (
     SectorMask,
-    SectorPackingFailed,
     SectorParams,
     box_crosses_boundary,
     boxes_cross_boundary,

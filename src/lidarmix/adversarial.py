@@ -15,11 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxSet, DomainTag, Scene, _assign_local, assign_points
-
-
-class EmptyBoxList(ValueError):
-    """The surrogate loss needs at least one box."""
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _assign_local, _check_real, assign_points
 
 
 class OneSidedEmpty(ValueError):
@@ -58,13 +54,11 @@ class PerturbationConfig:
     mode_weights: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        w = tuple(float(x) for x in self.mode_weights)
-        if len(w) != 3 or not all(0.0 <= x < math.inf for x in w):
-            raise ValueError(f"mode_weights must be 3 finite non-negative values, got {w}")
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, 0.0, above=True))
+        object.__setattr__(self, "rho", _check_real("rho", self.rho, 0.0, 1.0))
+        if len(self.mode_weights) != 3:
+            raise ValueError(f"mode_weights must be 3 values, got {self.mode_weights!r}")
+        w = tuple(_check_real(f"mode_weights[{i}]", x, 0.0) for i, x in enumerate(self.mode_weights))
         total = sum(w)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mode_weights must sum to 1, got {total}")
@@ -97,7 +91,7 @@ def surrogate_loss(scene: Scene, boxes: Sequence[Box3D]) -> tuple[float, Gradien
     """
     boxes = BoxSet.of(boxes)
     if not len(boxes):
-        raise EmptyBoxList("surrogate loss needs at least one box")
+        raise ValueError("surrogate loss needs at least one box")
     grads = np.zeros((scene.n_points, 3))
     total = 0.0
     indptr, indices, local = _assign_local(scene.xyz, boxes)
@@ -127,8 +121,7 @@ def surrogate_loss(scene: Scene, boxes: Sequence[Box3D]) -> tuple[float, Gradien
 def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:
     """Per-point displacement of magnitude epsilon along the normalized
     negative loss gradient; zero where the gradient vanishes."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    _check_real("epsilon", epsilon, 0.0, above=True)
     g = field.grads
     norms = np.linalg.norm(g, axis=1)[:, None]
     return np.divide(-epsilon * g, norms, out=np.zeros_like(g), where=norms > 0.0)
@@ -265,8 +258,7 @@ def advmix_sample(
     AM = labeled + adversarial, PM = labeled + raw. Otherwise no mixup is
     applied and the branches are AM = raw, PM = adversarial.
     """
-    if not 0.0 <= p_am <= 1.0:
-        raise ValueError(f"p_am must be in [0, 1], got {p_am}")
+    _check_real("p_am", p_am, 0.0, 1.0)
     if rng.random() < p_am:
         return point_mixup(labeled, adversarial), point_mixup(labeled, raw_unlabeled), True
     return raw_unlabeled, adversarial, False

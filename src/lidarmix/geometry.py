@@ -29,8 +29,23 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-class NonPositiveScale(ValueError):
-    """Rigid-transform scale must be strictly positive."""
+def _check_real(name: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> float:
+    """value as a Python float. ValueError unless it is a Python or numpy int
+    or float, not bool, finite and in [lo, hi], or (lo, hi] when above is set:
+    every real-valued input is checked here, as counts are by `_check_count`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # a Python int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (x > lo if above else x >= lo) and x <= hi:
+            return x
+    rule = f"{name} must be finite"
+    if lo > -math.inf:
+        rule += f" and {'>' if above else '>='} {lo:g}"
+    if hi < math.inf:
+        rule += f" and <= {hi:g}"
+    raise ValueError(f"{rule}, got {value!r}")
 
 
 class DomainTag(enum.Enum):
@@ -404,10 +419,8 @@ def apply_rigid_transform(
 
     Identity parameters return a bitwise-identical copy.
     """
-    if not (scale > 0 and math.isfinite(scale)):
-        raise NonPositiveScale(f"scale must be > 0, got {scale}")
-    if not math.isfinite(rot_z):
-        raise ValueError(f"rot_z must be finite, got {rot_z}")
+    _check_real("scale", scale, 0.0, above=True)
+    _check_real("rot_z", rot_z)
     # Each box rides along as one more row (cx, cy, cz, w), so its centre
     # goes through the same arithmetic as the points; w is left alone, as
     # the intensity is.

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversarial import surrogate_loss
-from .geometry import Box3D, DomainTag, Scene
+from .geometry import Box3D, DomainTag, Scene, _check_count, _check_real
 from .pipeline import seeded_rng
 
 DEFAULT_STEP = 1e-5
@@ -23,6 +23,7 @@ DEFAULT_STEP = 1e-5
 def finite_difference_gradient(
     scene: Scene, boxes: Sequence[Box3D], step: float = DEFAULT_STEP
 ) -> np.ndarray:
+    _check_real("step", step, 0.0, above=True)
     grads = np.zeros((scene.n_points, 3))
     for i in range(scene.n_points):
         for axis in range(3):
@@ -96,6 +97,7 @@ def make_gradcheck_fixture(rng: np.random.Generator) -> tuple[Scene, list[Box3D]
 
 def run_gradcheck(seed: int = 0, trials: int = 50, step: float = DEFAULT_STEP) -> float:
     """Max relative gradient error over a batch of random fixtures."""
+    _check_count("trials", trials)
     rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(trials):

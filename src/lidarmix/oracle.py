@@ -12,14 +12,13 @@ evaluation. Real detectors plug in through the same contract.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .adversarial import GradientField, GradientProvider, surrogate_loss
-from .geometry import Box3D, BoxSet, Scene, _check_count
+from .geometry import Box3D, BoxSet, Scene, _check_count, _check_real
 
 _MIN_BOX_SIZE = 0.1  # meters, the floor of every box size
 _SCORE_SATURATION = 50  # points from which a cluster scores 1
@@ -103,8 +102,8 @@ class GridClusterOracle:
     min_points: int = 5
 
     def __post_init__(self):
-        if not 0.0 < self.cell_size < math.inf:
-            raise ValueError(f"cell_size must be finite and > 0, got {self.cell_size}")
+        cell_size = _check_real("cell_size", self.cell_size, 0.0, above=True)
+        object.__setattr__(self, "cell_size", cell_size)
         _check_count("min_points", self.min_points)
 
     def predict(self, scene: Scene) -> BoxSet:

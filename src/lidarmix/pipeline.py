@@ -28,7 +28,9 @@ from .adversarial import (
     advmix_sample,
     consistency_loss,
 )
-from .geometry import BoxSet, DomainTag, Scene, _check_count, _is_integer, apply_rigid_transform
+from .geometry import (
+    BoxSet, DomainTag, Scene, _check_count, _check_real, _is_integer, apply_rigid_transform
+)
 from .oracle import DetectorOracle, GridClusterOracle
 from .sector_mix import SectorParams, targetmix_sample
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
@@ -62,12 +64,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("p_tm", "p_am", "pseudo_score_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
+        upper = {"p_tm": 1.0, "p_am": 1.0, "lam": math.inf, "pseudo_score_threshold": 1.0}
+        for name, hi in upper.items():
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0.0, hi))
         _check_count("epochs_tm", self.epochs_tm)
         _check_count("epochs_am", self.epochs_am)
         object.__setattr__(self, "seed", _check_seed(self.seed))
@@ -214,8 +213,7 @@ def generate_pseudo_labels(
     """Attach the oracle's predictions with score >= threshold to each
     scene; scenes stay TARGET_UNLABELED with the pseudo flag set. A box
     without a score is dropped."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    _check_real("threshold", threshold, 0.0, 1.0)
     annotated = []
     for scene in unlabeled_scenes:
         preds = BoxSet.of(oracle.predict(scene))

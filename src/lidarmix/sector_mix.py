@@ -23,13 +23,10 @@ from .geometry import (
     Scene,
     _azimuth,
     _check_count,
+    _check_real,
     assign_points,
     wrap_azimuth,
 )
-
-
-class SectorPackingFailed(RuntimeError):
-    """Disjoint sector placement could not be found."""
 
 
 @dataclass(frozen=True)
@@ -42,10 +39,11 @@ class SectorParams:
 
     def __post_init__(self):
         _check_count("k", self.k)
-        if not 0.0 < self.min_width <= self.max_width < math.inf:
-            raise ValueError(
-                f"need finite 0 < min_width <= max_width, got ({self.min_width}, {self.max_width})"
-            )
+        min_width = _check_real("min_width", self.min_width, 0.0, above=True)
+        object.__setattr__(self, "min_width", min_width)
+        object.__setattr__(self, "max_width", _check_real("max_width", self.max_width, min_width))
+        if self.k * min_width >= TWO_PI:
+            raise ValueError(f"k * min_width = {self.k * min_width} must stay below 2pi")
 
 
 def _sectors_disjoint(sectors) -> bool:
@@ -73,11 +71,10 @@ class SectorMask:
         wrapped = []
         total = 0.0
         for start, width in self.sectors:
-            if not math.isfinite(start):
-                raise ValueError(f"sector start must be finite, got {start}")
-            if not (0.0 < width < TWO_PI):
-                raise ValueError(f"sector width must be in (0, 2pi), got {width}")
-            wrapped.append((wrap_azimuth(float(start)), float(width)))
+            start = _check_real("sector start", start)
+            # a width of 2pi is refused as a total below
+            width = _check_real("sector width", width, 0.0, TWO_PI, above=True)
+            wrapped.append((wrap_azimuth(start), width))
             total += width
         if total >= TWO_PI:
             raise ValueError(f"total sector width {total} must stay below 2pi")
@@ -116,7 +113,7 @@ def sample_sectors(
     rng: np.random.Generator, k: int, min_width: float, max_width: float
 ) -> SectorMask:
     """Draw K disjoint sectors with widths uniform in [min_width, max_width]
-    by rejection sampling (at most 1000 attempts)."""
+    by rejection sampling; RuntimeError after 1000 failed attempts."""
     SectorParams(k, min_width, max_width)  # raises ValueError on bad arguments
     for _ in range(1000):
         widths = rng.uniform(min_width, max_width, size=k)
@@ -126,7 +123,7 @@ def sample_sectors(
         candidate = tuple(zip(starts.tolist(), widths.tolist()))
         if _sectors_disjoint([(wrap_azimuth(s), w) for s, w in candidate]):
             return SectorMask(candidate)
-    raise SectorPackingFailed(
+    raise RuntimeError(
         f"could not place {k} disjoint sectors with widths in [{min_width}, {max_width}]"
     )
 
@@ -192,8 +189,7 @@ def targetmix_sample(
 ) -> Scene:
     """With probability p_tm return a polar mix under a freshly sampled
     mask, otherwise the matched source scene unchanged."""
-    if not 0.0 <= p_tm <= 1.0:
-        raise ValueError(f"p_tm must be in [0, 1], got {p_tm}")
+    _check_real("p_tm", p_tm, 0.0, 1.0)
     if rng.random() < p_tm:
         mask = sample_sectors(rng, params.k, params.min_width, params.max_width)
         return polar_mix(source, target, mask)

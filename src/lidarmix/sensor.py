@@ -25,6 +25,7 @@ from .geometry import (
     Scene,
     _azimuth,
     _check_count,
+    _check_real,
     xyz_from_spherical,
 )
 
@@ -49,10 +50,10 @@ class SensorSpec:
     def __post_init__(self):
         _check_count("channels", self.channels)
         _check_count("points_per_channel", self.points_per_channel)
-        if not -math.inf < self.vfov_min < self.vfov_max < math.inf:
-            raise ValueError(
-                f"need finite vfov_min < vfov_max, got [{self.vfov_min}, {self.vfov_max}]"
-            )
+        vfov_min = _check_real("vfov_min", self.vfov_min)
+        vfov_max = _check_real("vfov_max", self.vfov_max, vfov_min, above=True)
+        object.__setattr__(self, "vfov_min", vfov_min)
+        object.__setattr__(self, "vfov_max", vfov_max)
 
     @classmethod
     def from_degrees(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import cluster_scene, random_box, raycast_world, reference_points_in_box
 from lidarmix import adversarial, geometry, synth
 from lidarmix.adversarial import (
-    EmptyBoxList,
     GradientField,
     OneSidedEmpty,
     PerturbationConfig,
@@ -48,7 +47,7 @@ def reference_smooth_l1(r):
 
 class TestSurrogateLoss:
     def test_requires_boxes(self):
-        with pytest.raises(EmptyBoxList):
+        with pytest.raises(ValueError, match="at least one box"):
             surrogate_loss(Scene(np.empty((0, 4))), [])
 
     def test_symmetric_points_zero_loss(self):

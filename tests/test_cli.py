@@ -210,6 +210,20 @@ class TestGradcheck:
         assert "max relative error" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--step", "nan"], ["--step", "0"], ["--step=-1e-5"], ["--step", "inf"],
+         ["--trials", "0"], ["--trials", "-3"]],
+    )
+    def test_degenerate_input_is_validation_error(self, capsys, args):
+        # a NaN step reported an error of 0, trials <= 0 checked nothing, and
+        # a zero step died with a ZeroDivisionError traceback
+        assert run("gradcheck", *args) == 1
+        captured = capsys.readouterr()
+        name = args[0][2:].split("=")[0]
+        assert captured.err.startswith(f"error: {name} must be")
+        assert captured.out == ""
+
 
 class TestSeedRange:
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-9223372036854775809"])

@@ -12,7 +12,6 @@ from lidarmix.geometry import (
     TWO_PI,
     Box3D,
     DomainTag,
-    NonPositiveScale,
     Scene,
     apply_rigid_transform,
     assign_points,
@@ -473,6 +472,28 @@ _rigid_params = st.tuples(
 )
 
 
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, "0.5", None, math.nan, -math.inf, np.float64(math.inf), 10**400]
+    )
+    def test_refuses_what_is_not_a_finite_real(self, value):
+        with pytest.raises(ValueError, match="^x must be finite, got"):
+            geometry._check_real("x", value)
+
+    @pytest.mark.parametrize("value", [1, np.int64(-2), np.float32(0.5), np.float64(0.25), 2.0**1023])
+    def test_returns_a_python_float(self, value):
+        out = geometry._check_real("x", value)
+        assert type(out) is float and out == value
+
+    def test_bounds(self):
+        assert geometry._check_real("x", 1.0, 0.0, 1.0) == 1.0
+        assert geometry._check_real("x", 0.0, 0.0, 1.0) == 0.0
+        with pytest.raises(ValueError, match=r"^x must be finite and > 0, got 0\.0$"):
+            geometry._check_real("x", 0.0, 0.0, above=True)
+        with pytest.raises(ValueError, match=r"^x must be finite and >= 0 and <= 1, got 1\.5$"):
+            geometry._check_real("x", 1.5, 0.0, 1.0)
+
+
 class TestRigidTransform:
     @given(
         st.lists(st.tuples(_coord, _coord, _coord, _coord), max_size=20), _boxes, _rigid_params
@@ -513,7 +534,7 @@ class TestRigidTransform:
         assert out.points[0, 3] == 0.3
 
     def test_rejects_non_positive_scale(self, rng):
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
             apply_rigid_transform(random_scene(rng), False, False, 0.0, 0.0)
 
     @pytest.mark.parametrize("with_boxes", [False, True])

@@ -33,21 +33,18 @@ def test_public_names():
         "DatasetBundle",
         "DetectorOracle",
         "DomainTag",
-        "EmptyBoxList",
         "EmptyDataset",
         "EpochStats",
         "GradientField",
         "GradientProvider",
         "GridClusterOracle",
         "NUSCENES_32",
-        "NonPositiveScale",
         "OneSidedEmpty",
         "PerturbationConfig",
         "PipelineConfig",
         "RangeImage",
         "Scene",
         "SectorMask",
-        "SectorPackingFailed",
         "SectorParams",
         "SensorSpec",
         "StageReport",

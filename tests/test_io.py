@@ -32,6 +32,7 @@ from lidarmix.io import (
 )
 from lidarmix.pipeline import DatasetBundle, PipelineConfig
 from lidarmix.sector_mix import SectorParams
+from lidarmix.sensor import SensorSpec
 from lidarmix.synth import synthesize_dataset
 
 
@@ -359,8 +360,12 @@ class TestConfig:
         [
             # math.degrees overflows to inf above about 3.1e306 radians
             (PipelineConfig(sectors=SectorParams(max_width=1e308)), "sector_max_width_deg"),
-            (PipelineConfig(sectors=SectorParams(1, 1e307, 1e307)), "sector_min_width_deg"),
-            # PipelineConfig refuses lam=inf, so it is set past the check
+            # SectorParams refuses k * min_width >= 2pi, and PipelineConfig
+            # refuses lam=inf, so these are set past the checks
+            (
+                PipelineConfig(sectors=_set_past_validation(SectorParams(), min_width=1e307)),
+                "sector_min_width_deg",
+            ),
             (_set_past_validation(PipelineConfig(), lam=math.inf), "lambda"),
         ],
     )
@@ -409,7 +414,10 @@ class TestConfig:
             "mode_weight_add": w_add,
             "mode_weight_remove": (1.0 - w_translate) - w_add,
         }
-        values["sector_min_width_deg"], values["sector_max_width_deg"] = degree_pair(1e-3, 360.0)
+        min_deg, max_deg = degree_pair(1e-3, 360.0)
+        values["sector_min_width_deg"], values["sector_max_width_deg"] = min_deg, max_deg
+        # k * min_width < 360 degrees, which SectorParams requires
+        values["k_sectors"] = data.draw(st.integers(1, max(1, min(8, math.ceil(360.0 / min_deg) - 1))))
         for prefix in ("source", "target"):
             vfov = degree_pair(-90.0, 90.0)
             values[f"{prefix}_vfov_min_deg"], values[f"{prefix}_vfov_max_deg"] = vfov
@@ -417,13 +425,61 @@ class TestConfig:
             values[f"{prefix}_points_per_channel"] = data.draw(st.integers(1, 4096))
         for key in ("p_tm", "p_am", "rho", "pseudo_score_threshold"):
             values[key] = data.draw(unit)
-        for key in ("k_sectors", "epochs_tm", "epochs_am"):
+        for key in ("epochs_tm", "epochs_am"):
             values[key] = data.draw(st.integers(1, 8))
         values["lambda"] = data.draw(st.floats(0.0, 1e6))
         values["epsilon"] = data.draw(st.floats(1e-12, 10.0))
         values["seed"] = data.draw(st.integers(-(2**63), 2**63 - 1))
         assert set(values) == set(_CONFIG_KEYS)
         cfg = parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert parse_config(format_config(cfg)) == cfg
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_configs_the_constructors_accept_round_trip(self, data):
+        # p_tm=True and numpy floats were accepted, then written as text that
+        # parse_config refused; bools are drawn now and then to keep it so
+        def real(value, kinds=(float, np.float64, np.float32, int)):
+            if data.draw(st.integers(0, 49)) == 0:
+                return data.draw(st.booleans())
+            return data.draw(st.sampled_from(kinds))(value)
+
+        def angles(lo, hi, n):
+            # radians of at most 9 significant digits of degrees, as written
+            nine_digits = st.floats(lo, hi, allow_subnormal=False).map(lambda v: float(f"{v:.9g}"))
+            degrees = sorted(data.draw(st.lists(nine_digits, min_size=n, max_size=n, unique=True)))
+            return [real(math.radians(d), (float, np.float64)) for d in degrees]
+
+        def spec():
+            counts = data.draw(st.integers(1, 256)), data.draw(st.integers(1, 4096))
+            return SensorSpec(*counts, *angles(-90.0, 90.0, 2))
+
+        unit = st.floats(0.0, 1.0)
+        w_translate = data.draw(unit)
+        w_add = data.draw(st.floats(0.0, 1.0 - w_translate))
+        weights = (w_translate, w_add, (1.0 - w_translate) - w_add)
+        k = data.draw(st.integers(1, 8))
+        min_width, max_width = angles(1e-3, 359.0 / k, 2)  # k * min_width < 2pi
+        try:
+            cfg = PipelineConfig(
+                source_spec=spec(),
+                target_spec=spec(),
+                p_tm=real(data.draw(unit)),
+                p_am=real(data.draw(unit)),
+                lam=real(data.draw(st.floats(0.0, 1e6))),
+                perturbation=PerturbationConfig(
+                    real(data.draw(st.floats(1e-12, 10.0))),
+                    real(data.draw(unit)),
+                    tuple(real(w, (float, np.float64)) for w in weights),
+                ),
+                sectors=SectorParams(k, min_width, max_width),
+                epochs_tm=data.draw(st.integers(1, 8)),
+                epochs_am=data.draw(st.integers(1, 8)),
+                pseudo_score_threshold=real(data.draw(unit)),
+                seed=data.draw(st.integers(-(2**63), 2**64 - 1)),
+            )
+        except ValueError:
+            return  # a config the constructors refuse
         assert parse_config(format_config(cfg)) == cfg
 
     def test_bad_syntax_rejected(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -401,3 +402,27 @@ class TestPipelineConfig:
         # pass, and lam=inf turned a zero consistency term into NaN
         with pytest.raises(ValueError, match="finite"):
             build()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "base", [PipelineConfig(), PerturbationConfig(), SectorParams(), SMALL, GridClusterOracle()],
+        ids=lambda base: type(base).__name__,
+    )
+    def test_float_fields_refuse_bool(self, base, flag):
+        # PipelineConfig(p_tm=True) was accepted and saved as `p_tm = True`,
+        # which load_config then refused; every float field is checked alike
+        names = [f.name for f in dataclasses.fields(base) if f.type in ("float", float)]
+        assert names
+        for name in names:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                dataclasses.replace(base, **{name: flag})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("i", range(3))
+    def test_mode_weights_refuse_bool(self, i, flag):
+        # the weights still sum to 1, so only the type check can refuse them;
+        # True used to become a weight of 1.0
+        weights = [0.0, 0.0, 0.0]
+        weights[i], weights[(i + 1) % 3] = flag, float(not flag)
+        with pytest.raises(ValueError, match=rf"^mode_weights\[{i}\] must be finite"):
+            PerturbationConfig(mode_weights=tuple(weights))

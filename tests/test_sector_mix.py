@@ -9,7 +9,6 @@ from conftest import random_box, random_scene, reference_points_in_box
 from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, points_in_box, wrap_azimuth
 from lidarmix.sector_mix import (
     SectorMask,
-    SectorPackingFailed,
     SectorParams,
     box_crosses_boundary,
     boxes_cross_boundary,
@@ -146,9 +145,19 @@ class TestSampleSectors:
             assert (s1 - s2) % (2 * math.pi) >= w2
 
     def test_exact_full_packing_fails(self, rng):
-        # four half-pi sectors total exactly 2*pi: pigeonhole, cannot pack
-        with pytest.raises(SectorPackingFailed):
-            sample_sectors(rng, 4, math.pi / 2, math.pi / 2)
+        # k sectors at least this wide total 2*pi or more: pigeonhole, cannot
+        # pack, so the params are refused before any draw
+        for k, width in ((4, math.pi / 2), (7, 1.0)):
+            with pytest.raises(ValueError, match=r"k \* min_width = .* must stay below 2pi"):
+                SectorParams(k, width, width)
+            with pytest.raises(ValueError, match=r"k \* min_width"):
+                sample_sectors(rng, k, width, width)
+
+    def test_packing_that_rejection_sampling_cannot_find_fails(self, rng):
+        # these widths fit with 4e-9 rad to spare, which 1000 random draws miss
+        width = math.pi / 2 - 1e-9
+        with pytest.raises(RuntimeError, match="could not place 4 disjoint sectors"):
+            sample_sectors(rng, 4, width, width)
 
     def test_bad_params(self, rng):
         with pytest.raises(ValueError):
