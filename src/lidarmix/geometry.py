@@ -29,10 +29,25 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+class _RealRefused(ValueError):
+    """A refusal by `_check_real`. It keeps the check's name, value and
+    bounds, so a caller can restate it under another name and in other units."""
+
+    def __init__(self, name: str, value, lo: float, hi: float, above: bool):
+        rule = f"{name} must be finite"
+        if lo > -math.inf:
+            rule += f" and {'>' if above else '>='} {lo:g}"
+        if hi < math.inf:
+            rule += f" and <= {hi:g}"
+        super().__init__(f"{rule}, got {value!r}")
+        self.name, self.value, self.lo, self.hi, self.above = name, value, lo, hi, above
+
+
 def _check_real(name: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> float:
-    """value as a Python float. ValueError unless it is a Python or numpy int
-    or float, not bool, finite and in [lo, hi], or (lo, hi] when above is set:
-    every real-valued input is checked here, as counts are by `_check_count`."""
+    """value as a Python float. ValueError (_RealRefused) unless it is a Python
+    or numpy int or float, not bool, finite and in [lo, hi], or (lo, hi] when
+    above is set: every real-valued input is checked here, as counts are by
+    `_check_count`."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
             x = float(value)
@@ -40,12 +55,7 @@ def _check_real(name: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> 
             x = math.inf
         if math.isfinite(x) and (x > lo if above else x >= lo) and x <= hi:
             return x
-    rule = f"{name} must be finite"
-    if lo > -math.inf:
-        rule += f" and {'>' if above else '>='} {lo:g}"
-    if hi < math.inf:
-        rule += f" and <= {hi:g}"
-    raise ValueError(f"{rule}, got {value!r}")
+    raise _RealRefused(name, value, lo, hi, above)
 
 
 class DomainTag(enum.Enum):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxSet, DomainTag, Scene
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _RealRefused
 from .pipeline import DatasetBundle, PipelineConfig
 
 
@@ -155,6 +155,7 @@ _CONFIG_KEYS = {
     "mode_weight_add": "perturbation.mode_weights.1",
     "mode_weight_remove": "perturbation.mode_weights.2",
 }
+_KEY_OF = {path: key for key, path in _CONFIG_KEYS.items()}
 
 
 def _part(obj, name: str):
@@ -184,12 +185,26 @@ def _replaced(obj, changes: dict):
     return dataclasses.replace(obj, **fields)
 
 
+def _restated(exc: ValueError, path: str) -> str:
+    """exc in file terms: a `_check_real` refusal of a field that a key
+    sets is restated with that key, in its units; other messages are kept."""
+    if not isinstance(exc, _RealRefused):
+        return str(exc)
+    key = _KEY_OF.get(".".join([*path.split(".")[:-1], exc.name]))  # path's sibling of that name
+    if key is None:
+        return str(exc)
+    unit = (lambda x: float(f"{math.degrees(x):.9g}")) if key.endswith("_deg") else (lambda x: x)
+    return str(_RealRefused(key, unit(exc.value), unit(exc.lo), unit(exc.hi), exc.above))
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse flat key = value text into a PipelineConfig. Unknown keys and
     non-finite floats are rejected; values are validated by the config
-    dataclasses."""
+    dataclasses. A value they refuse is reported at the line after which no
+    later line makes the config valid again, with the key and the bound in
+    file units where the refused field has a key."""
     defaults = PipelineConfig()
-    changes = {}
+    entries = []  # (line, key, value as written, attribute path, parsed value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -206,11 +221,18 @@ def parse_config(text: str) -> PipelineConfig:
                 raise ValueError(f"{value!r} is not finite")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        changes[_CONFIG_KEYS[key]] = math.radians(parsed) if key.endswith("_deg") else parsed
-    try:
-        return _replaced(defaults, changes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        parsed = math.radians(parsed) if key.endswith("_deg") else parsed
+        entries.append((lineno, key, value, _CONFIG_KEYS[key], parsed))
+    # all lines, then ever shorter prefixes until one builds; the defaults do
+    for end in range(len(entries), -1, -1):
+        try:
+            cfg = _replaced(defaults, {path: x for *_, path, x in entries[:end]})
+        except ValueError as exc:
+            error, (lineno, key, value, path, _) = exc, entries[end - 1]
+            continue
+        if end == len(entries):
+            return cfg
+        raise ConfigError(f"line {lineno}: {key} = {value}: {_restated(error, path)}") from error
 
 
 def format_config(cfg: PipelineConfig) -> str:

@@ -59,7 +59,9 @@ class SensorSpec:
     def from_degrees(
         cls, channels: int, points_per_channel: int, vfov_min_deg: float, vfov_max_deg: float
     ) -> "SensorSpec":
-        return cls(channels, points_per_channel, math.radians(vfov_min_deg), math.radians(vfov_max_deg))
+        vfov_min = math.radians(_check_real("vfov_min_deg", vfov_min_deg))
+        vfov_max = math.radians(_check_real("vfov_max_deg", vfov_max_deg))
+        return cls(channels, points_per_channel, vfov_min, vfov_max)
 
     @property
     def span(self) -> float:
@@ -107,25 +109,24 @@ class RangeImage:
         return cls(np.zeros(shape), np.zeros(shape), spec)
 
 
-def _check_stride(v: int, h: int, row_offset: int, col_offset: int) -> None:
-    """Strides are integers >= 1, offsets integers in [0, stride): no bool or float."""
+def _check_stride(v: int, h: int, row_offset: int) -> None:
+    """Strides are integers >= 1, the row offset an integer in [0, v): no bool or float."""
     _check_count("v", v)
     _check_count("h", h)
     _check_count("row_offset", row_offset, 0)
-    _check_count("col_offset", col_offset, 0)
-    if not (row_offset < v and col_offset < h):
-        raise ValueError(f"offsets ({row_offset}, {col_offset}) out of range for ({v}, {h})")
+    if row_offset >= v:
+        raise ValueError(f"row_offset must be < v = {v}, got {row_offset}")
 
 
 @functools.cache
-def _lattice_spec(spec: SensorSpec, v: int, h: int, row_offset: int, col_offset: int) -> SensorSpec:
-    """The grid of spec's rows == row_offset (mod v) and cols == col_offset
-    (mod h), its VFOV shifted so the new (fatter) cells are centered exactly
-    on the kept source rows, whose elevations backprojection reproduces. Cached."""
+def _lattice_spec(spec: SensorSpec, v: int, h: int, row_offset: int) -> SensorSpec:
+    """The grid of spec's rows == row_offset (mod v) and cols == 0 (mod h),
+    its VFOV shifted so the new (fatter) cells are centered exactly on the
+    kept source rows, whose elevations backprojection reproduces. Cached."""
     if v == 1 and h == 1:
         return spec
     n_rows = len(range(row_offset, spec.channels, v))
-    n_cols = len(range(col_offset, spec.points_per_channel, h))
+    n_cols = len(range(0, spec.points_per_channel, h))
     vfov_min = spec.vfov_min + (row_offset + 0.5 * (1 - v)) * spec.row_pitch
     return SensorSpec(n_rows, n_cols, vfov_min, vfov_min + n_rows * v * spec.row_pitch)
 
@@ -146,7 +147,6 @@ def build_range_image(
     v: int = 1,
     h: int = 1,
     row_offset: int = 0,
-    col_offset: int = 0,
 ) -> RangeImage:
     """Rasterize a scene onto the sensor grid.
 
@@ -156,14 +156,15 @@ def build_range_image(
 
     With strides (v, h), points off the kept rows and columns are dropped
     first and the rest land straight on the lattice grid: the image is bit
-    for bit `downsample_range_image` of the unstrided one.
+    for bit `downsample_range_image` of the unstrided one. The kept columns
+    are every h-th from column 0.
     """
-    _check_stride(v, h, row_offset, col_offset)
-    img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset, col_offset))
+    _check_stride(v, h, row_offset)
+    img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset))
     n_rows, n_cols = spec.channels, spec.points_per_channel
     # floor reaches n_rows at vfov_max (top row), n_cols at most next to 2pi (column 0)
     row_index = _lattice_index(n_rows, v, row_offset, n_rows - 1)
-    col_index = _lattice_index(n_cols, h, col_offset, 0)
+    col_index = _lattice_index(n_cols, h, 0, 0)
     # The steps of spherical_from_xyz, elementwise and so bit for bit, in
     # blocks of points, the azimuth and range only where the row or cell is
     # kept. hypot(horiz, z) > 0 iff either is non-zero; NaN fails the VFOV.
@@ -246,18 +247,16 @@ def _nearest_row_offset(src: SensorSpec, tgt: SensorSpec, v: int) -> int:
     return min(range(min(v, src.channels)), key=mean_miss)
 
 
-def downsample_range_image(
-    img: RangeImage, v: int, h: int, row_offset: int = 0, col_offset: int = 0
-) -> RangeImage:
-    """Keep rows == row_offset (mod v) and cols == col_offset (mod h).
+def downsample_range_image(img: RangeImage, v: int, h: int, row_offset: int = 0) -> RangeImage:
+    """Keep rows == row_offset (mod v) and cols == 0 (mod h).
 
     Retained cells are copied bit-identically onto the lattice grid, whose
     cells are centered on the retained source rows (see _lattice_spec).
     """
-    _check_stride(v, h, row_offset, col_offset)
-    ranges = img.ranges[row_offset::v, col_offset::h].copy()
-    intensities = img.intensities[row_offset::v, col_offset::h].copy()
-    return RangeImage(ranges, intensities, _lattice_spec(img.spec, v, h, row_offset, col_offset))
+    _check_stride(v, h, row_offset)
+    ranges = img.ranges[row_offset::v, ::h].copy()
+    intensities = img.intensities[row_offset::v, ::h].copy()
+    return RangeImage(ranges, intensities, _lattice_spec(img.spec, v, h, row_offset))
 
 
 def backproject(img: RangeImage) -> Scene:

@@ -21,11 +21,11 @@ def reference_points_in_box(xyz, box):
     return np.nonzero(inside)[0]
 
 
-def reference_range_image(scene, spec, v=1, h=1, row_offset=0, col_offset=0):
+def reference_range_image(scene, spec, v=1, h=1, row_offset=0):
     """build_range_image as it was with one two-key lexsort of (cell, range)
     per build: reference for the nearest-return choice that replaced it."""
-    _check_stride(v, h, row_offset, col_offset)
-    img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset, col_offset))
+    _check_stride(v, h, row_offset)
+    img = RangeImage.empty(_lattice_spec(spec, v, h, row_offset))
     # The steps of spherical_from_xyz, elementwise and so bit for bit, but
     # the azimuth is only computed for points in a kept row.
     x, y, z = scene.points[:, 0], scene.points[:, 1], scene.points[:, 2]
@@ -42,7 +42,7 @@ def reference_range_image(scene, spec, v=1, h=1, row_offset=0, col_offset=0):
     az = _azimuth(y[kept], x[kept])
     cols = np.floor(az / TWO_PI * n_cols).astype(np.intp) % n_cols
     if h > 1:
-        on_col = cols % h == col_offset
+        on_col = cols % h == 0
         kept, rows, cols = kept[on_col], rows[on_col], cols[on_col] // h
     rng, inten = rng[kept], scene.intensities[kept]
     cells = rows * img.spec.points_per_channel + cols

@@ -380,6 +380,33 @@ class TestConfig:
             save_config(cfg, path)
         assert path.read_bytes() == old
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the bound is the default source vfov_min, -17.6 degrees
+            (
+                "p_tm = 0.2\nsource_vfov_max_deg = -40\n",
+                "line 2: source_vfov_max_deg = -40: source_vfov_max_deg must be finite and > -17.6, got -40.0",
+            ),
+            ("lambda = -1\n", "line 1: lambda = -1: lambda must be finite and >= 0, got -1.0"),
+            ("epsilon = 0\n", "line 1: epsilon = 0: epsilon must be finite and > 0, got 0.0"),
+            # line 2 makes line 1 valid again, so line 3 is the one refused
+            (
+                "source_vfov_min_deg = 5\nsource_vfov_max_deg = 10\np_tm = 2\n",
+                "line 3: p_tm = 2: p_tm must be finite and >= 0 and <= 1, got 2.0",
+            ),
+            # a joint bound names the field it refused, in file units
+            (
+                "target_vfov_min_deg = 12\n",
+                "line 1: target_vfov_min_deg = 12: target_vfov_max_deg must be finite and > 12, got 10.0",
+            ),
+        ],
+        ids=["degrees", "lambda", "epsilon", "repaired-line", "joint-bound"],
+    )
+    def test_range_refusal_names_line_key_and_file_units(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
     def test_non_finite_value_names_line_and_key(self):
         with pytest.raises(ConfigError, match=r"^line 2: bad value for 'lambda'"):
             parse_config("p_tm = 0.2\nlambda = -inf\n")

@@ -66,6 +66,14 @@ class TestSensorSpec:
         assert WAYMO_64.vfov_min == pytest.approx(math.radians(-17.6))
         assert WAYMO_64.span == pytest.approx(math.radians(20.0))
 
+    @pytest.mark.parametrize(
+        "vfov_min_deg, vfov_max_deg", [(True, 2.4), (-17.6, False), ("-17.6", 2.4), (-17.6, math.inf)]
+    )
+    def test_degree_arguments_checked_before_conversion(self, vfov_min_deg, vfov_max_deg):
+        # math.radians would take True as 1 degree and raise TypeError on a str
+        with pytest.raises(ValueError, match=r"vfov_(min|max)_deg must be finite"):
+            SensorSpec.from_degrees(64, 2200, vfov_min_deg, vfov_max_deg)
+
 
 class TestBuildRangeImage:
     def test_bottom_row_inclusive(self):
@@ -139,43 +147,40 @@ class TestStridedBuild:
         scene, spec, v, h = case
         full = build_range_image(scene, spec)
         for row_offset in range(v):
-            for col_offset in range(h):
-                got = build_range_image(scene, spec, v, h, row_offset, col_offset)
-                want = downsample_range_image(full, v, h, row_offset, col_offset)
-                assert got.spec == want.spec
-                assert got.ranges.tobytes() == want.ranges.tobytes()
-                assert got.intensities.tobytes() == want.intensities.tobytes()
+            got = build_range_image(scene, spec, v, h, row_offset)
+            want = downsample_range_image(full, v, h, row_offset)
+            assert got.spec == want.spec
+            assert got.ranges.tobytes() == want.ranges.tobytes()
+            assert got.intensities.tobytes() == want.intensities.tobytes()
 
-    @pytest.mark.parametrize("row_offset, col_offset", [(0, 0), (1, 1)])
-    def test_tied_range_keeps_first_point(self, row_offset, col_offset):
-        cell = all_cell_centers(SMALL).reshape(16, 64, 3)[row_offset, col_offset]
+    @pytest.mark.parametrize("row_offset, lattice_col", [(0, 0), (1, 1)])
+    def test_tied_range_keeps_first_point(self, row_offset, lattice_col):
+        # source cell (row_offset, 2 * lattice_col) is lattice cell (0, lattice_col)
+        cell = all_cell_centers(SMALL).reshape(16, 64, 3)[row_offset, 2 * lattice_col]
         scene = scene_from_spherical([cell, cell, cell], intensities=[0.2, 0.8, 0.5])
-        img = build_range_image(scene, SMALL, 2, 2, row_offset, col_offset)
+        img = build_range_image(scene, SMALL, 2, 2, row_offset)
         assert img.n_occupied == 1
-        assert img.intensities[0, 0] == 0.2  # lattice cell of source cell (ro, co)
+        assert img.intensities[0, lattice_col] == 0.2
 
-    @pytest.mark.parametrize(
-        "v, h, row_offset, col_offset", [(4, 2, 4, 0), (4, 2, 0, 2), (4, 2, -1, 0), (0, 1, 0, 0)]
-    )
-    def test_bad_strides_raise_like_downsample(self, v, h, row_offset, col_offset):
+    @pytest.mark.parametrize("v, h, row_offset", [(4, 2, 4), (4, 2, -1), (0, 1, 0)])
+    def test_bad_strides_raise_like_downsample(self, v, h, row_offset):
         scene = scene_from_spherical(all_cell_centers(SMALL))
         with pytest.raises(ValueError) as from_downsample:
-            downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset, col_offset)
+            downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset)
         with pytest.raises(ValueError, match=re.escape(str(from_downsample.value))):
-            build_range_image(scene, SMALL, v, h, row_offset, col_offset)
+            build_range_image(scene, SMALL, v, h, row_offset)
 
     @pytest.mark.parametrize(
-        "v, h, row_offset, col_offset",
-        [(True, 1, 0, 0), (2.0, 1, 0, 0), (1, np.float64(2), 0, 0), (2, 2, 1.0, 0), (2, 2, 0, True)],
+        "v, h, row_offset", [(True, 1, 0), (2.0, 1, 0), (1, np.float64(2), 0), (2, 2, 1.0)]
     )
-    def test_non_integer_strides_refused(self, v, h, row_offset, col_offset):
+    def test_non_integer_strides_refused(self, v, h, row_offset):
         # range and slicing would take True as 1 and fail on a float with a
         # TypeError, so both are refused as non-integers before either runs
         scene = scene_from_spherical(all_cell_centers(SMALL))
         with pytest.raises(ValueError, match="must be an integer"):
-            build_range_image(scene, SMALL, v, h, row_offset, col_offset)
+            build_range_image(scene, SMALL, v, h, row_offset)
         with pytest.raises(ValueError, match="must be an integer"):
-            downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset, col_offset)
+            downsample_range_image(RangeImage.empty(SMALL), v, h, row_offset)
 
 
 def assert_same_image(got, want):
@@ -184,9 +189,9 @@ def assert_same_image(got, want):
     assert got.intensities.tobytes() == want.intensities.tobytes()
 
 
-# Unstrided, and each stride of SMALL with an offset that keeps row 3 and
-# column 5 of the source grid and one that drops them.
-SMALL_STRIDES = [(1, 1, 0, 0), (2, 2, 1, 1), (2, 2, 0, 0), (4, 2, 3, 1), (4, 2, 2, 1)]
+# Unstrided, and each stride of SMALL with a row offset that keeps row 3 of
+# the source grid and one that drops it. Column 6 is kept at every stride.
+SMALL_STRIDES = [(1, 1, 0), (2, 2, 1), (2, 2, 0), (4, 2, 3), (4, 2, 2)]
 
 
 class TestNearestReturn:
@@ -204,16 +209,15 @@ class TestNearestReturn:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sensor, "_BLOCK", block, raising=False)
             for row_offset in range(v):
-                for col_offset in range(h):
-                    stride = (v, h, row_offset, col_offset)
-                    assert_same_image(build_range_image(scene, spec, *stride), reference_range_image(scene, spec, *stride))
+                stride = (v, h, row_offset)
+                assert_same_image(build_range_image(scene, spec, *stride), reference_range_image(scene, spec, *stride))
 
     @staticmethod
     def cell_points(ranges, intensities, others=0):
-        """Points at the centre of SMALL's row 3, column 5, at the given
+        """Points at the centre of SMALL's row 3, column 6, at the given
         ranges, after `others` points in other cells of the grid."""
         cells = all_cell_centers(SMALL)
-        az, el, _ = cells[3 * SMALL.points_per_channel + 5]
+        az, el, _ = cells[3 * SMALL.points_per_channel + 6]
         filler = cells[np.random.default_rng(0).choice(np.arange(1, 40), size=others, replace=False)]
         aer = np.vstack([filler, [[az, el, r] for r in ranges]])
         return scene_from_spherical(aer, np.concatenate([np.linspace(0.01, 0.02, others), intensities]))
@@ -223,7 +227,7 @@ class TestNearestReturn:
         scene = self.cell_points([10.0, 7.0, 5.0, 9.0], [0.2, 0.4, 0.8, 0.6], others=5)
         img = build_range_image(scene, SMALL, *stride)
         assert_same_image(img, reference_range_image(scene, SMALL, *stride))
-        kept = 3 % stride[0] == stride[2] and 5 % stride[1] == stride[3]
+        kept = 3 % stride[0] == stride[2] and 6 % stride[1] == 0
         assert (0.8 in img.intensities) == kept
 
     @pytest.mark.parametrize("stride", SMALL_STRIDES)
@@ -232,7 +236,7 @@ class TestNearestReturn:
         scene = self.cell_points([12.0, 6.0, 8.0, 6.0, 6.0], [0.3, 0.5, 0.9, 0.7, 0.6], others=6)
         img = build_range_image(scene, SMALL, *stride)
         assert_same_image(img, reference_range_image(scene, SMALL, *stride))
-        kept = 3 % stride[0] == stride[2] and 5 % stride[1] == stride[3]
+        kept = 3 % stride[0] == stride[2] and 6 % stride[1] == 0
         assert (0.5 in img.intensities) == kept
         assert 0.7 not in img.intensities and 0.6 not in img.intensities
 
@@ -244,32 +248,32 @@ class TestNearestReturn:
         spec = SensorSpec(16, 64, vfov_max - 0.4, vfov_max)
         # doubling a point keeps its elevation bits; the nearest is second
         scene = Scene(np.column_stack([np.vstack([2.0 * top, top, 3.0 * top]), [0.1, 0.5, 0.9]]))
-        img = build_range_image(scene, spec, 2, 1, row_offset, 0)
-        assert_same_image(img, reference_range_image(scene, spec, 2, 1, row_offset, 0))
+        img = build_range_image(scene, spec, 2, 1, row_offset)
+        assert_same_image(img, reference_range_image(scene, spec, 2, 1, row_offset))
         assert img.n_occupied == row_offset
         assert img.intensities[-1].tolist().count(0.5) == row_offset
 
-    @pytest.mark.parametrize("col_offset", [0, 1])
-    def test_azimuth_just_below_two_pi(self, col_offset):
-        # y = -1e-12 is the last column; y = -1e-300 folds to azimuth 0
-        el = 0.5 * (SMALL.vfov_min + SMALL.vfov_max)
+    @pytest.mark.parametrize("row_offset", [0, 1])
+    def test_azimuth_just_below_two_pi(self, row_offset):
+        # y = -1e-12 is the last column, odd and so dropped; y = -1e-300
+        # folds to azimuth 0, whose column is kept. Were either point in the
+        # other's column, 0.2 or 0.8 would win column 0 instead of 0.6.
+        el = SMALL.vfov_min + (row_offset + 0.5) * SMALL.row_pitch
         z = 10.0 * math.tan(el)
         xyz = [[10.0, -1e-12, z], [20.0, -1e-12, 2 * z], [10.0, -1e-300, z], [10.0, 0.0, z]]
         scene = Scene(np.column_stack([xyz, [0.2, 0.4, 0.6, 0.8]]))
-        img = build_range_image(scene, SMALL, 1, 2, 0, col_offset)
-        assert_same_image(img, reference_range_image(scene, SMALL, 1, 2, 0, col_offset))
+        img = build_range_image(scene, SMALL, 2, 2, row_offset)
+        assert_same_image(img, reference_range_image(scene, SMALL, 2, 2, row_offset))
         occupied = set(img.intensities[img.ranges > 0].tolist())
-        assert occupied == ({0.2} if col_offset else {0.6})
+        assert occupied == {0.6}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_raycast_source_at_the_published_strides(self, seed):
         source = raycast_world(seed)[0]
         v, h = downsample_factors(WAYMO_64, NUSCENES_32)
         for row_offset in range(v):
-            for col_offset in range(h):
-                stride = (v, h, row_offset, col_offset)
-                got = build_range_image(source, WAYMO_64, *stride)
-                assert_same_image(got, reference_range_image(source, WAYMO_64, *stride))
+            got = build_range_image(source, WAYMO_64, v, h, row_offset)
+            assert_same_image(got, reference_range_image(source, WAYMO_64, v, h, row_offset))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_raycast_source_on_the_coarser_grid(self, seed):
@@ -372,8 +376,9 @@ class TestDownsampleRangeImage:
     def test_stride_offsets(self, rng):
         ranges = rng.uniform(1.0, 50.0, size=(16, 64))
         img = RangeImage(ranges, np.zeros((16, 64)), SMALL)
-        out = downsample_range_image(img, 4, 2, row_offset=1, col_offset=1)
-        assert out.ranges[0, 0] == img.ranges[1, 1]
+        out = downsample_range_image(img, 4, 2, row_offset=1)
+        assert out.ranges[0, 0] == img.ranges[1, 0]
+        assert out.ranges[1, 1] == img.ranges[5, 2]
 
     def test_retained_row_elevations_preserved(self):
         # New (fat) cell centers must sit exactly on the retained source rows.

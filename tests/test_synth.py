@@ -113,6 +113,17 @@ class TestSynthesizeDataset:
         bundle = synthesize_dataset(0, n_source=0, n_labeled=0, n_unlabeled=0)
         assert bundle.source == bundle.target_labeled == bundle.target_unlabeled == []
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labeled_tail_is_the_unlabeled_role_with_boxes(self, seed):
+        # The roles draw from one stream in order, so the hidden truth of the
+        # default unlabeled scenes is the tail of a 20-scene labeled role.
+        unlabeled = synthesize_dataset(seed).target_unlabeled
+        tail = synthesize_dataset(seed, n_labeled=20, n_unlabeled=0).target_labeled[4:]
+        assert len(tail) == len(unlabeled) == 16
+        for truth, shipped in zip(tail, unlabeled):
+            assert np.array_equal(truth.points, shipped.points)
+            assert truth.boxes and shipped.boxes == []
+
 
 # sha256 of the ray-cast world's source points, native points and car rows
 # (BoxSet data) per seed, so that moving the generator is shown bit for bit.
