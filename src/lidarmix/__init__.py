@@ -33,7 +33,6 @@ from .geometry import (
 from .oracle import DetectorOracle, GridClusterOracle
 from .pipeline import (
     DatasetBundle,
-    EmptyDataset,
     EpochStats,
     PipelineConfig,
     StageReport,

@@ -176,7 +176,7 @@ def cli_dispatch(argv: list[str]) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (lio.TruncatedFile, lio.NonFiniteValue, lio.MalformedRecord, OSError) as exc:
+    except (lio.MalformedRecord, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -23,24 +24,10 @@ from .geometry import Box3D, BoxSet, DomainTag, Scene, _RealRefused
 from .pipeline import DatasetBundle, PipelineConfig
 
 
-class TruncatedFile(ValueError):
-    """Cloud file byte length is not a multiple of the record size."""
-
-
-class NonFiniteValue(ValueError):
-    """A cloud holds NaN or infinite values."""
-
-
 class MalformedRecord(ValueError):
-    """A label record could not be parsed."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class ConfigError(ValueError):
-    """Invalid configuration key or value."""
+    """A cloud or label file that cannot be read or written: a cloud cut
+    mid-record or not finite in float32, or a label record that does not
+    parse, whose message then starts "line N: "."""
 
 
 RECORD_BYTES = 16  # four little-endian float32 per point
@@ -67,13 +54,11 @@ def _replace_file(path: str | Path, data: bytes | np.ndarray) -> None:
 def read_cloud(path: str | Path, domain_tag: DomainTag = DomainTag.SOURCE) -> Scene:
     raw = Path(path).read_bytes()
     if len(raw) % RECORD_BYTES != 0:
-        raise TruncatedFile(
-            f"{path}: {len(raw)} bytes is not a multiple of {RECORD_BYTES}"
-        )
+        raise MalformedRecord(f"{path}: {len(raw)} bytes is not a multiple of {RECORD_BYTES}")
     # widening keeps finiteness, so the float32 values are checked: half the bytes
     data = np.frombuffer(raw, dtype="<f4")
     if not np.isfinite(data).all():
-        raise NonFiniteValue(f"{path}: cloud contains non-finite values")
+        raise MalformedRecord(f"{path}: cloud contains non-finite values")
     return Scene(data.astype(np.float64).reshape(-1, 4), [], domain_tag)
 
 
@@ -83,7 +68,7 @@ def write_cloud(scene: Scene, path: str | Path) -> None:
     with np.errstate(over="ignore"):
         data = scene.points.astype("<f4")
     if not np.isfinite(data).all():
-        raise NonFiniteValue("refusing to write points that are not finite in float32")
+        raise MalformedRecord("refusing to write points that are not finite in float32")
     _replace_file(path, data)
 
 
@@ -96,15 +81,15 @@ def read_labels(path: str | Path) -> BoxSet:
                 continue
             tokens = text.split()
             if len(tokens) not in (8, 9):
-                raise MalformedRecord(lineno, f"expected 8 or 9 fields, got {len(tokens)}")
+                raise MalformedRecord(f"line {lineno}: expected 8 or 9 fields, got {len(tokens)}")
             try:
                 row = [float(t) for t in tokens]
             except ValueError as exc:
-                raise MalformedRecord(lineno, str(exc)) from exc
+                raise MalformedRecord(f"line {lineno}: {exc}") from exc
             if len(row) == 8:
                 row.append(math.nan)  # no score
             elif math.isnan(row[8]):
-                raise MalformedRecord(lineno, f"score must be in [0, 1], got {row[8]}")
+                raise MalformedRecord(f"line {lineno}: score must be in [0, 1], got {row[8]}")
             rows.append(row)
             lines.append(lineno)
     try:
@@ -114,7 +99,7 @@ def read_labels(path: str | Path) -> BoxSet:
             try:
                 BoxSet([row])
             except ValueError as exc:
-                raise MalformedRecord(lineno, str(exc)) from exc
+                raise MalformedRecord(f"line {lineno}: {exc}") from exc
         raise
 
 
@@ -187,10 +172,19 @@ def _replaced(obj, changes: dict):
 
 def _restated(exc: ValueError, path: str) -> str:
     """exc in file terms: a `_check_real` refusal of a field that a key
-    sets is restated with that key, in its units; other messages are kept."""
+    sets is restated with that key, in its units, and so is the sector
+    packing bound of `SectorParams`; other messages are kept."""
+    # SectorParams writes the total in radians with repr, so it reads back exactly
+    packing = re.fullmatch(r"k \* min_width = (\S+) must stay below 2pi", str(exc))
+    if packing:
+        total = math.degrees(float(packing[1]))
+        return f"k_sectors * sector_min_width_deg = {total:.9g} must stay below 360"
     if not isinstance(exc, _RealRefused):
         return str(exc)
-    key = _KEY_OF.get(".".join([*path.split(".")[:-1], exc.name]))  # path's sibling of that name
+    # the dataclass that refused: the owner of the line's attribute, or of its
+    # tuple for a tuple item; a refused "name[i]" is that tuple's item i
+    owner = path.split(".")[: -2 if path[-1].isdigit() else -1]
+    key = _KEY_OF.get(".".join([*owner, re.sub(r"\[(\d+)\]", r".\1", exc.name)]))
     if key is None:
         return str(exc)
     unit = (lambda x: float(f"{math.degrees(x):.9g}")) if key.endswith("_deg") else (lambda x: x)
@@ -210,17 +204,17 @@ def parse_config(text: str) -> PipelineConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:  # each key's parser is the type of its default, int or float
             parsed = type(_config_value(defaults, key))(value)
             if isinstance(parsed, float) and not math.isfinite(parsed):
                 raise ValueError(f"{value!r} is not finite")
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         parsed = math.radians(parsed) if key.endswith("_deg") else parsed
         entries.append((lineno, key, value, _CONFIG_KEYS[key], parsed))
     # all lines, then ever shorter prefixes until one builds; the defaults do
@@ -232,7 +226,7 @@ def parse_config(text: str) -> PipelineConfig:
             continue
         if end == len(entries):
             return cfg
-        raise ConfigError(f"line {lineno}: {key} = {value}: {_restated(error, path)}") from error
+        raise ValueError(f"line {lineno}: {key} = {value}: {_restated(error, path)}") from error
 
 
 def format_config(cfg: PipelineConfig) -> str:
@@ -240,12 +234,12 @@ def format_config(cfg: PipelineConfig) -> str:
     degrees are rounded to 9 significant digits, which hides the rounding
     of radians -> degrees for a value that was read from a file. A value not
     finite in file units, such as an angle too large for degrees, raises
-    ConfigError: parse_config would refuse the file."""
+    ValueError: parse_config would refuse the file."""
     lines = []
     for key in _CONFIG_KEYS:
         value = _config_value(cfg, key)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key} = {value} is not finite")
+            raise ValueError(f"{key} = {value} is not finite")
         if isinstance(value, float):
             value = f"{value:.9g}" if key.endswith("_deg") else repr(value)
         lines.append(f"{key} = {value}")

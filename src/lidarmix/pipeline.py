@@ -38,10 +38,6 @@ from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
 logger = logging.getLogger("lidarmix.pipeline")
 
 
-class EmptyDataset(ValueError):
-    """A stage was handed an empty scene collection it cannot run without."""
-
-
 @dataclass
 class DatasetBundle:
     source: list[Scene]
@@ -108,7 +104,6 @@ class StageReport:
 
 @dataclass
 class PseudoLabelStats:
-    kept: int = 0
     discarded: int = 0
 
 
@@ -184,7 +179,7 @@ def run_targetmix_stage(
     of the slot's pair with probability p_tm and the slot's own scene
     otherwise, and evaluate the oracle's detection loss on each."""
     if not source_scenes or not target_labeled_scenes:
-        raise EmptyDataset("stage 1 needs non-empty source and target-labeled sets")
+        raise ValueError("stage 1 needs non-empty source and target-labeled sets")
     rng = seeded_rng(cfg.seed, 1)
     matched = [lidar_distribution_match(s, cfg.source_spec, cfg.target_spec) for s in source_scenes]
     report = StageReport("targetmix", cfg.seed)
@@ -219,7 +214,6 @@ def generate_pseudo_labels(
         preds = BoxSet.of(oracle.predict(scene))
         kept = preds[preds.data[:, 8] >= threshold]  # a missing score is NaN
         if stats is not None:
-            stats.kept += len(kept)
             stats.discarded += len(preds) - len(kept)
         annotated.append(
             Scene(scene.points.copy(), kept, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
@@ -254,7 +248,7 @@ def run_advmix_stage(
     mean_consistency_loss.
     """
     if not target_labeled or not pseudo_labeled:
-        raise EmptyDataset("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
+        raise ValueError("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
     rng = seeded_rng(cfg.seed, 2)
     report = StageReport("advmix", cfg.seed)
     report.pseudo_boxes_kept = sum(len(s.boxes) for s in pseudo_labeled)
@@ -303,10 +297,10 @@ def run_full(
     """Stage 1, pseudo-labeling, then stage 2. One oracle object plays every
     role: the stage-1 detector, the teacher that pseudo-labels and perturbs,
     and the student; nothing trains, so a copy would be equal. An empty role
-    raises EmptyDataset before any stage runs."""
+    raises ValueError before any stage runs."""
     empty = [role for role, scenes in vars(datasets).items() if not scenes]
     if empty:
-        raise EmptyDataset(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
+        raise ValueError(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
     oracle = oracle if oracle is not None else GridClusterOracle()
     report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, oracle)
     stats = PseudoLabelStats()
@@ -316,6 +310,6 @@ def run_full(
     report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle)
     report_am.pseudo_boxes_discarded = stats.discarded
     logger.info(
-        "pipeline done: pseudo kept=%d discarded=%d", stats.kept, stats.discarded
+        "pipeline done: pseudo kept=%d discarded=%d", report_am.pseudo_boxes_kept, stats.discarded
     )
     return report_tm, report_am

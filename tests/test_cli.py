@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -275,3 +277,23 @@ class TestErrorMapping:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+
+def test_module_entry_point_exit_codes(manifest, tmp_path):
+    # `python -m lidarmix` runs __main__ and main(), which turn the
+    # dispatcher's code into the process exit status
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+    def status(*argv):
+        cmd = [sys.executable, "-m", "lidarmix", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True).returncode
+
+    assert status("gradcheck", "--trials", "1") == 0
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\x00" * 17)
+    assert status("match", str(bad), "--out", str(tmp_path / "o.bin")) == 2
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text("p_tm = 2\n")
+    cloud = next((manifest / "source").glob("*.bin"))
+    assert status("match", str(cloud), "--config", str(cfg), "--out", str(tmp_path / "o.bin")) == 1

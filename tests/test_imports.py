@@ -33,7 +33,6 @@ def test_public_names():
         "DatasetBundle",
         "DetectorOracle",
         "DomainTag",
-        "EmptyDataset",
         "EpochStats",
         "GradientField",
         "GradientProvider",

@@ -15,10 +15,7 @@ from lidarmix.adversarial import PerturbationConfig
 from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.io import (
     _CONFIG_KEYS,
-    ConfigError,
     MalformedRecord,
-    NonFiniteValue,
-    TruncatedFile,
     format_config,
     load_bundle,
     load_config,
@@ -55,21 +52,21 @@ class TestCloudFiles:
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 17)
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(MalformedRecord, match=r"bad\.bin: 17 bytes is not a multiple of 16$"):
             read_cloud(path)
 
     def test_non_finite_rejected_on_read(self, tmp_path):
         path = tmp_path / "nan.bin"
         data = np.array([1.0, 2.0, np.nan, 0.5], dtype="<f4")
         path.write_bytes(data.tobytes())
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(MalformedRecord, match=r"nan\.bin: cloud contains non-finite values$"):
             read_cloud(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refusal_names_the_file(self, tmp_path, bad):
         path = tmp_path / "bad.bin"
         path.write_bytes(np.array([[1.0, 2.0, 3.0, 0.5], [4.0, bad, 6.0, 0.5]], dtype="<f4").tobytes())
-        with pytest.raises(NonFiniteValue, match=f"^{re.escape(str(path))}: cloud contains non-finite values$"):
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(str(path))}: cloud contains non-finite values$"):
             read_cloud(path)
 
     def test_non_finite_rejected_on_write(self, tmp_path):
@@ -78,7 +75,7 @@ class TestCloudFiles:
         before = path.read_bytes()
         # 1e39 is finite in float64 but overflows float32 to inf
         for bad in (np.inf, 1e39):
-            with pytest.raises(NonFiniteValue):
+            with pytest.raises(MalformedRecord, match="^refusing to write points that are not finite"):
                 write_cloud(Scene(np.array([[1.0, 2.0, bad, 0.0]])), path)
             assert path.read_bytes() == before
 
@@ -107,9 +104,8 @@ class TestLabelFiles:
     def test_seven_fields_malformed(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("# header\n0 0 0 2 2 2 0\n")
-        with pytest.raises(MalformedRecord) as exc:
+        with pytest.raises(MalformedRecord, match=r"^line 2: expected 8 or 9 fields, got 7$"):
             read_labels(path)
-        assert exc.value.line == 2
 
     def test_non_numeric_malformed(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -119,9 +115,8 @@ class TestLabelFiles:
         # the class id must be a finite integral value
         for class_id in ("inf", "1e400", "nan", "2.7"):
             path.write_text(f"# header\n0 0 0 1 1 1 0 {class_id}\n")
-            with pytest.raises(MalformedRecord) as exc:
+            with pytest.raises(MalformedRecord, match=r"^line 2: "):
                 read_labels(path)
-            assert exc.value.line == 2
 
     @pytest.mark.parametrize("token", ["2", "2.0", "2e0"])
     def test_integral_class_id_accepted(self, tmp_path, token):
@@ -183,24 +178,21 @@ class TestLabelFiles:
     def test_class_id_beyond_float64_integers_malformed(self, tmp_path, token):
         path = tmp_path / "labels.txt"
         path.write_text(f"0 0 0 1 1 1 0 0\n0 0 0 1 1 1 0 {token}\n")
-        with pytest.raises(MalformedRecord, match="class id") as exc:
+        with pytest.raises(MalformedRecord, match=r"^line 2: class id"):
             read_labels(path)
-        assert exc.value.line == 2
 
     @pytest.mark.parametrize("score", ["nan", "-nan", "1.5", "inf"])
     def test_bad_score_malformed(self, tmp_path, score):
         path = tmp_path / "labels.txt"
         path.write_text(f"# header\n0 0 0 1 1 1 0 0 {score}\n")
-        with pytest.raises(MalformedRecord, match="score must be in") as exc:
+        with pytest.raises(MalformedRecord, match=r"^line 2: score must be in"):
             read_labels(path)
-        assert exc.value.line == 2
 
     def test_refusal_names_the_first_bad_line(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("0 0 0 1 1 1 0 0\n\n0 0 0 1 0 1 0 0\n0 0 0 nan 1 1 0 0\n")
-        with pytest.raises(MalformedRecord, match="sizes must be positive") as exc:
+        with pytest.raises(MalformedRecord, match=r"^line 3: box sizes must be positive"):
             read_labels(path)
-        assert exc.value.line == 3
 
 
 def _per_box_label_text(boxes) -> str:
@@ -301,17 +293,17 @@ class TestConfig:
         assert "sector_min_width_deg = 12.3456789\n" in text
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 1: unknown key 'not_a_key'$"):
             parse_config("not_a_key = 3\n")
         # matching derives its stride offsets from the two specs
-        with pytest.raises(ConfigError, match="unknown key 'random_stride'"):
+        with pytest.raises(ValueError, match="^line 1: unknown key 'random_stride'$"):
             parse_config("random_stride = false\n")
         # the reference detector's smooth-L1 knee is fixed at 1 m
-        with pytest.raises(ConfigError, match="unknown key 'smooth_l1_knee'"):
+        with pytest.raises(ValueError, match="^line 1: unknown key 'smooth_l1_knee'$"):
             parse_config("smooth_l1_knee = 1.0\n")
         # stage 2 always transforms the labeled scene; a config.txt that an
         # older `lidarmix synth` wrote holds this key and is refused too
-        with pytest.raises(ConfigError, match="unknown key 'augment_labeled'"):
+        with pytest.raises(ValueError, match="^line 1: unknown key 'augment_labeled'$"):
             parse_config("augment_labeled = true\n")
 
     def test_readme_table_names_every_key(self):
@@ -346,7 +338,7 @@ class TestConfig:
         ],
     )
     def test_out_of_range_values_rejected(self, line):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_config(line + "\n")
 
     @pytest.mark.parametrize("seed", [-(2**63), 2**64 - 1])
@@ -374,9 +366,9 @@ class TestConfig:
         path = tmp_path / "config.txt"
         save_config(PipelineConfig(), path)
         old = path.read_bytes()
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=f"^{key} = .* is not finite$"):
             format_config(cfg)
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=f"^{key} = .* is not finite$"):
             save_config(cfg, path)
         assert path.read_bytes() == old
 
@@ -400,15 +392,27 @@ class TestConfig:
                 "target_vfov_min_deg = 12\n",
                 "line 1: target_vfov_min_deg = 12: target_vfov_max_deg must be finite and > 12, got 10.0",
             ),
+            # the sector packing bound, in keys and degrees
+            (
+                "k_sectors = 4\nsector_max_width_deg = 120\nsector_min_width_deg = 100\n",
+                "line 3: sector_min_width_deg = 100: "
+                "k_sectors * sector_min_width_deg = 400 must stay below 360",
+            ),
+            # a tuple item is named by its own key
+            (
+                "mode_weight_translate = -0.5\nmode_weight_add = 0.75\nmode_weight_remove = 0.75\n",
+                "line 1: mode_weight_translate = -0.5: "
+                "mode_weight_translate must be finite and >= 0, got -0.5",
+            ),
         ],
-        ids=["degrees", "lambda", "epsilon", "repaired-line", "joint-bound"],
+        ids=["degrees", "lambda", "epsilon", "repaired-line", "joint-bound", "packing", "mode-weight"],
     )
     def test_range_refusal_names_line_key_and_file_units(self, text, message):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(text)
 
     def test_non_finite_value_names_line_and_key(self):
-        with pytest.raises(ConfigError, match=r"^line 2: bad value for 'lambda'"):
+        with pytest.raises(ValueError, match=r"^line 2: bad value for 'lambda'"):
             parse_config("p_tm = 0.2\nlambda = -inf\n")
 
     def test_every_field_has_exactly_one_key(self):
@@ -510,13 +514,13 @@ class TestConfig:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_bad_syntax_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 1: expected 'key = value', got 'p_tm 0.4'$"):
             parse_config("p_tm 0.4\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 1: bad value for 'epochs_tm': invalid literal"):
             parse_config("epochs_tm = many\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 1: bad value for 'p_tm': could not convert"):
             parse_config("p_tm = maybe\n")
 
     def test_degrees_converted_once(self):
@@ -524,8 +528,8 @@ class TestConfig:
         assert cfg.source_spec.vfov_min == pytest.approx(math.radians(-17.6))
 
     def test_mode_weights_validated(self):
-        with pytest.raises(ConfigError):
-            parse_config("mode_weight_translate = 0.9\n")  # sum != 1
+        with pytest.raises(ValueError, match="^line 1: mode_weight_translate = 0.9: .* sum to 1"):
+            parse_config("mode_weight_translate = 0.9\n")
 
     def test_comments_allowed(self):
         cfg = parse_config("# a comment\np_tm = 0.2  # inline\n")
