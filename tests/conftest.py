@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, _azimuth
+from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, _azimuth, xyz_from_spherical
 from lidarmix.sensor import NUSCENES_32, WAYMO_64, RangeImage, _check_stride, _lattice_spec
 
 
@@ -57,6 +57,19 @@ def reference_range_image(scene, spec, v=1, h=1, row_offset=0):
     img.ranges.flat[cells] = rng[winners]
     img.intensities.flat[cells] = inten[winners]
     return img
+
+
+def reference_backproject(img):
+    """backproject as it was with cos and sin taken per point: reference for
+    the cell-centre points read from per-spec direction tables."""
+    rows, cols = np.nonzero(img.ranges > 0.0)
+    spec = img.spec
+    el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
+    az = (cols + 0.5) * spec.col_pitch
+    rng = img.ranges[rows, cols]
+    xyz = xyz_from_spherical(np.column_stack([az, el, rng]))
+    pts = np.column_stack([xyz, img.intensities[rows, cols]])
+    return Scene(pts)
 
 
 @functools.cache

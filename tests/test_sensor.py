@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raycast_world, reference_range_image
+from conftest import raycast_world, reference_backproject, reference_range_image
 from lidarmix import sensor
 from lidarmix.geometry import DomainTag, Scene, assign_points, spherical_from_xyz, xyz_from_spherical
 from lidarmix.sensor import (
@@ -448,6 +448,14 @@ class TestBackproject:
             d_az = abs((aer[src, 0] - az + math.pi) % (2 * math.pi) - math.pi)
             assert d_az <= half_col * (1 + 1e-9)
             assert abs(aer[src, 1] - el) <= half_row * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matched_raycast_source_matches_per_point_reference(self, seed):
+        # the image that matching to NUSCENES_32 back-projects, about 14k cells
+        img = build_range_image(raycast_world(seed)[0], WAYMO_64, 4, 2, 2)
+        got, want = backproject(img), reference_backproject(img)
+        assert got.n_points > 10_000
+        assert got.points.tobytes() == want.points.tobytes()
 
 
 class TestDistributionMatch:

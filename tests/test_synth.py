@@ -146,3 +146,39 @@ def test_raycast_world_is_pinned(seed):
     source, native, cars = raycast_world(seed)
     arrays = (source.points, native.points, BoxSet.of(cars).data)
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == RAYCAST_DIGESTS[seed]
+
+
+def _scenes_digest(scenes):
+    """sha256 over each scene's points, then its box rows (BoxSet data)."""
+    h = hashlib.sha256()
+    for scene in scenes:
+        h.update(scene.points.tobytes())
+        h.update(scene.boxes.data.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of every role of the default bundles of seeds 0 and 1, source,
+# target-labeled and target-unlabeled, and of one dense WAYMO_64 scene, so
+# that a faster generator is shown to draw and write the same bits.
+SYNTH_DIGESTS = {
+    0: (
+        "00b96e75e31b562823de1f8e4766512cb781c7f6c8cd9792f5b39e5dc84df6f3",
+        "bf1d53326cf34789e724ea8bffeee7347489a88ac924b8d148fb384efe31fea5",
+        "b2abcb6dace04847f1633d429702483b4c0622218c2cd66e9ac451aa6ffb798e",
+    ),
+    1: (
+        "510f0c1e34169bee900fa456d0bbf35b87be84cb8f592589d811945802a2c2d2",
+        "faf90b6ec500307837d81c7ff86467b24fe2f33ea97001493e26a6086d87254a",
+        "934126c09b7a611bc5d95e843bbf2f4656e355142395abd14fd180f7bc422ffd",
+    ),
+}
+DENSE_SCENE_DIGEST = "3a2078c8578bc5e14e5f1531d18674d39dad6b8330f3667296110ac3bd4b4e1f"
+
+
+def test_synth_bundle_is_pinned():
+    for seed, expected in SYNTH_DIGESTS.items():
+        bundle = synthesize_dataset(seed)
+        roles = (bundle.source, bundle.target_labeled, bundle.target_unlabeled)
+        assert tuple(map(_scenes_digest, roles)) == expected
+    dense = synthesize_scene(np.random.default_rng(3), 4, WAYMO_64, ground_points=5000)
+    assert _scenes_digest([dense]) == DENSE_SCENE_DIGEST
