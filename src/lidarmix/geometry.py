@@ -23,39 +23,57 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def _check_count(name: str, value, minimum: int = 1) -> None:
-    """Refuse a count that is not an integer >= minimum, before it can fail mid-run."""
-    if not (_is_integer(value) and value >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _is_real(value) -> bool:
+    """A Python or numpy int or float; bool, though an int subclass, is not one."""
+    if type(value) is float:  # the common case, first
+        return True
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-class _RealRefused(ValueError):
-    """A refusal by `_check_real`. It keeps the check's name, value and
-    bounds, so a caller can restate it under another name and in other units."""
+# Every integer up to this magnitude is exact in a float64.
+_MAX_EXACT = 2**53
 
-    def __init__(self, name: str, value, lo: float, hi: float, above: bool):
-        rule = f"{name} must be finite"
-        if lo > -math.inf:
-            rule += f" and {'>' if above else '>='} {lo:g}"
-        if hi < math.inf:
-            rule += f" and <= {hi:g}"
+
+class _Refused(ValueError):
+    """A refusal by `_check_count` or `_check_real`. It keeps the check's
+    name, value and bounds, so a caller can restate it under another name
+    and in other units."""
+
+    def __init__(self, name: str, value, lo: float, hi: float, above: bool = False, count: bool = False):
+        if count:
+            rule = f"{name} must be an integer >= {lo} and <= 2**53"
+        else:
+            rule = f"{name} must be finite"
+            if lo > -math.inf:
+                rule += f" and {'>' if above else '>='} {lo:g}"
+            if hi < math.inf:
+                rule += f" and <= {hi:g}"
         super().__init__(f"{rule}, got {value!r}")
-        self.name, self.value, self.lo, self.hi, self.above = name, value, lo, hi, above
+        self.name, self.value, self.lo, self.hi = name, value, lo, hi
+        self.above, self.count = above, count
+
+
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a count that is not an integer in [minimum, 2**53], before it
+    can fail mid-run: a larger count is not exact in a float, and arithmetic
+    that mixes it with floats can overflow."""
+    if not (_is_integer(value) and minimum <= value <= _MAX_EXACT):
+        raise _Refused(name, value, minimum, _MAX_EXACT, count=True)
 
 
 def _check_real(name: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> float:
-    """value as a Python float. ValueError (_RealRefused) unless it is a Python
+    """value as a Python float. ValueError (_Refused) unless it is a Python
     or numpy int or float, not bool, finite and in [lo, hi], or (lo, hi] when
     above is set: every real-valued input is checked here, as counts are by
     `_check_count`."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if _is_real(value):
         try:
             x = float(value)
         except OverflowError:  # a Python int beyond the float range
             x = math.inf
         if math.isfinite(x) and (x > lo if above else x >= lo) and x <= hi:
             return x
-    raise _RealRefused(name, value, lo, hi, above)
+    raise _Refused(name, value, lo, hi, above)
 
 
 class DomainTag(enum.Enum):
@@ -120,6 +138,10 @@ def xyz_from_spherical(aer: np.ndarray) -> np.ndarray:
     )
 
 
+# The real fields of a Box3D, in order.
+_BOX_FIELDS = ("cx", "cy", "cz", "w", "l", "h", "yaw")
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center (cx, cy, cz), sizes (w, l, h) with l along
@@ -141,14 +163,21 @@ class Box3D:
 
     def __post_init__(self):
         fields = (self.cx, self.cy, self.cz, self.w, self.l, self.h, self.yaw)
-        if not all(map(math.isfinite, fields)):
+        cx, cy, cz, w, l, h, yaw = fields
+        # one type test for the common case of Python floats; any other type,
+        # bool and str included, goes through _check_real, which names the field
+        if not type(cx) is type(cy) is type(cz) is type(w) is type(l) is type(h) is type(yaw) is float:
+            for name, value in zip(_BOX_FIELDS, fields):
+                _check_real(name, value)
+        elif not all(map(math.isfinite, fields)):
             raise ValueError(f"box fields must be finite, got {fields}")
-        if not (self.w > 0 and self.l > 0 and self.h > 0):
-            raise ValueError(f"box sizes must be positive, got {(self.w, self.l, self.h)}")
-        if self.score is not None and not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+        if not (w > 0 and l > 0 and h > 0):
+            raise ValueError(f"box sizes must be positive, got {(w, l, h)}")
+        score = self.score
+        if score is not None and not (_is_real(score) and 0.0 <= score <= 1.0):
+            raise ValueError(f"score must be in [0, 1], got {score!r}")
         c = self.class_id
-        if not _is_integer(c) or not -_MAX_CLASS_ID <= c <= _MAX_CLASS_ID:
+        if not _is_integer(c) or not -_MAX_EXACT <= c <= _MAX_EXACT:
             raise ValueError(f"class id must be an integer of magnitude at most 2**53, got {c!r}")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
@@ -171,9 +200,6 @@ class Box3D:
 
 # Box centers closer than this to the z-axis have no meaningful azimuth.
 _Z_AXIS_TOLERANCE = 1e-6
-
-# Every integer up to this magnitude is exact in a float64 column.
-_MAX_CLASS_ID = 2**53
 
 # Corner offsets of a box in units of its half sizes, x' outermost.
 _CORNER_SIGNS = np.array(
@@ -208,7 +234,7 @@ def _validate(data: np.ndarray) -> None:
         all(map(math.isfinite, lo[:8] + hi[:8]))
         and min(lo[3:6]) > 0.0
         and not (scores[0] < 0.0 or scores[1] > 1.0)
-        and -_MAX_CLASS_ID <= lo[7] <= hi[7] <= _MAX_CLASS_ID
+        and -_MAX_EXACT <= lo[7] <= hi[7] <= _MAX_EXACT
         and (lo[7] == hi[7] and lo[7].is_integer() or not np.mod(data[:, 7], 1.0).any())
     ):
         for row in data.tolist():

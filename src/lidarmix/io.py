@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxSet, DomainTag, Scene, _RealRefused
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _Refused
 from .pipeline import DatasetBundle, PipelineConfig
 
 
@@ -171,15 +171,20 @@ def _replaced(obj, changes: dict):
 
 
 def _restated(exc: ValueError, path: str) -> str:
-    """exc in file terms: a `_check_real` refusal of a field that a key
-    sets is restated with that key, in its units, and so is the sector
-    packing bound of `SectorParams`; other messages are kept."""
+    """exc in file terms: a `_check_count` or `_check_real` refusal of a
+    field that a key sets is restated with that key, in its units, and so
+    are the sector packing bound of `SectorParams` and the mode-weight sum of
+    `PerturbationConfig`; other messages are kept."""
     # SectorParams writes the total in radians with repr, so it reads back exactly
     packing = re.fullmatch(r"k \* min_width = (\S+) must stay below 2pi", str(exc))
     if packing:
         total = math.degrees(float(packing[1]))
         return f"k_sectors * sector_min_width_deg = {total:.9g} must stay below 360"
-    if not isinstance(exc, _RealRefused):
+    weights = re.fullmatch(r"mode_weights must sum to 1, (got \S+)", str(exc))
+    if weights:
+        keys = " + ".join(_KEY_OF[f"perturbation.mode_weights.{i}"] for i in range(3))
+        return f"{keys} must sum to 1, {weights[1]}"
+    if not isinstance(exc, _Refused):
         return str(exc)
     # the dataclass that refused: the owner of the line's attribute, or of its
     # tuple for a tuple item; a refused "name[i]" is that tuple's item i
@@ -188,7 +193,7 @@ def _restated(exc: ValueError, path: str) -> str:
     if key is None:
         return str(exc)
     unit = (lambda x: float(f"{math.degrees(x):.9g}")) if key.endswith("_deg") else (lambda x: x)
-    return str(_RealRefused(key, unit(exc.value), unit(exc.lo), unit(exc.hi), exc.above))
+    return str(_Refused(key, unit(exc.value), unit(exc.lo), unit(exc.hi), exc.above, exc.count))
 
 
 def parse_config(text: str) -> PipelineConfig:

@@ -26,7 +26,7 @@ from .geometry import (
     _azimuth,
     _check_count,
     _check_real,
-    xyz_from_spherical,
+    _read_only,
 )
 
 _BLOCK = 1 << 15  # points per block of build_range_image, whose temporaries it bounds
@@ -259,18 +259,43 @@ def downsample_range_image(img: RangeImage, v: int, h: int, row_offset: int = 0)
     return RangeImage(ranges, intensities, _lattice_spec(img.spec, v, h, row_offset))
 
 
+@functools.cache
+def _directions(spec: SensorSpec) -> tuple[np.ndarray, ...]:
+    """cos and sin of each row's cell-centre elevation, then cos and sin of
+    each column's cell-centre azimuth: 2 x (channels + points_per_channel)
+    floats. np.cos and np.sin act elementwise, so a gather from these tables
+    has the bits of a call on the gathered angles. Cached, read-only."""
+    el = spec.vfov_min + (np.arange(spec.channels) + 0.5) * spec.row_pitch
+    az = (np.arange(spec.points_per_channel) + 0.5) * spec.col_pitch
+    return _read_only(np.cos(el), np.sin(el), np.cos(az), np.sin(az))
+
+
+def _cell_points(
+    spec: SensorSpec, rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray, intensities: np.ndarray
+) -> np.ndarray:
+    """(N, 4) points at the cell-centre elevation of each row and azimuth of
+    each column of spec's grid, at the given ranges and intensities. The
+    products are taken in the order of `xyz_from_spherical`, (r cos el) cos
+    az, so the points are its bits: the one builder of cell-centre points."""
+    cos_el, sin_el, cos_az, sin_az = _directions(spec)
+    points = np.empty((len(ranges), 4))
+    r_cos_el = ranges * cos_el[rows]
+    np.multiply(r_cos_el, cos_az[cols], out=points[:, 0])
+    np.multiply(r_cos_el, sin_az[cols], out=points[:, 1])
+    np.multiply(ranges, sin_el[rows], out=points[:, 2])
+    points[:, 3] = intensities
+    return points
+
+
 def backproject(img: RangeImage) -> Scene:
     """Emit one point per occupied cell, at the cell-center azimuth and
-    elevation with the stored range and intensity. Boxes are the caller's
-    business. The scene is SOURCE-tagged, as matching's input is."""
+    elevation with the stored range and intensity, read from the spec's
+    cached direction tables with the bits of a per-point cos and sin. Boxes
+    are the caller's business. The scene is SOURCE-tagged, as matching's
+    input is."""
     rows, cols = np.nonzero(img.ranges > 0.0)
-    spec = img.spec
-    el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
-    az = (cols + 0.5) * spec.col_pitch
-    rng = img.ranges[rows, cols]
-    xyz = xyz_from_spherical(np.column_stack([az, el, rng]))
-    pts = np.column_stack([xyz, img.intensities[rows, cols]])
-    return Scene(pts)
+    ranges, intensities = img.ranges[rows, cols], img.intensities[rows, cols]
+    return Scene(_cell_points(img.spec, rows, cols, ranges, intensities))
 
 
 def lidar_distribution_match(scene: Scene, src: SensorSpec, tgt: SensorSpec) -> Scene:

@@ -5,9 +5,13 @@ ground returns fill the 4-55 m annulus around it, and every object cluster
 holds 35-70 points. Ground returns are scattered on the sensor's beam
 pattern (azimuth at a column center, elevation snapped to the nearest beam
 row for the sampled range), sparse enough that the clustering oracle sees
-mostly small fragments. Object clusters are dense uniform fills of
-car-sized boxes. The one knob is `ground_points`, the ground returns per
-scene.
+mostly small fragments; their points come from `sensor._cell_points`,
+which back-projection uses too, so neither calls cos or sin per point.
+Object clusters are dense uniform fills of car-sized boxes. The one knob
+is `ground_points`, the ground returns per scene.
+
+The random draws, their sizes and their order are fixed: every bundle of
+a seed is pinned bit for bit by the tests.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import math
 
 import numpy as np
 
-from .geometry import Box3D, DomainTag, Scene, _check_count, xyz_from_spherical
+from .geometry import Box3D, DomainTag, Scene, _check_count
 from .pipeline import DatasetBundle, seeded_rng
-from .sensor import NUSCENES_32, WAYMO_64, SensorSpec
+from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, _cell_points
 
 _SENSOR_HEIGHT = 1.8  # meters above the ground plane
 _RANGE_MIN, _RANGE_MAX = 4.0, 55.0  # meters, the ground annulus
@@ -28,18 +32,15 @@ _CLUSTER_POINTS_MIN, _CLUSTER_POINTS_MAX = 35, 70  # points per object, inclusiv
 def _ground_returns(rng: np.random.Generator, spec: SensorSpec, n: int) -> np.ndarray:
     if n == 0:
         return np.empty((0, 4))
-    # Uniform in area over the annulus, then snap elevation to a beam row.
-    u = rng.uniform(size=n)
-    r = np.sqrt(_RANGE_MIN**2 + u * (_RANGE_MAX**2 - _RANGE_MIN**2))
+    # Uniform in area over the annulus, then snap elevation to a beam row;
+    # np.rint and the two bounds give np.round and np.clip's values, without
+    # their Python wrappers.
+    r = np.sqrt(_RANGE_MIN**2 + rng.uniform(size=n) * (_RANGE_MAX**2 - _RANGE_MIN**2))
     ideal_el = -np.arctan2(_SENSOR_HEIGHT, r)
-    rows = np.clip(
-        np.round((ideal_el - spec.vfov_min) / spec.row_pitch - 0.5), 0, spec.channels - 1
-    )
-    el = spec.vfov_min + (rows + 0.5) * spec.row_pitch
+    rows = np.rint((ideal_el - spec.vfov_min) / spec.row_pitch - 0.5)
+    rows = np.minimum(np.maximum(rows, 0), spec.channels - 1).astype(np.intp)
     cols = rng.integers(spec.points_per_channel, size=n)
-    az = (cols + 0.5) * spec.col_pitch
-    xyz = xyz_from_spherical(np.column_stack([az, el, r]))
-    return np.column_stack([xyz, rng.uniform(0.0, 1.0, size=n)])
+    return _cell_points(spec, rows, cols, r, rng.uniform(0.0, 1.0, size=n))
 
 
 def _object_cluster(rng: np.random.Generator) -> tuple[np.ndarray, Box3D]:
@@ -48,19 +49,15 @@ def _object_cluster(rng: np.random.Generator) -> tuple[np.ndarray, Box3D]:
     w = rng.uniform(1.6, 2.2)
     length = rng.uniform(3.6, 4.8)
     h = rng.uniform(1.3, 1.8)
-    box = Box3D(
-        dist * math.cos(az),
-        dist * math.sin(az),
-        -_SENSOR_HEIGHT + h / 2.0,
-        w=w,
-        l=length,
-        h=h,
-        yaw=rng.uniform(-math.pi, math.pi),
-    )
+    cx, cy, cz = dist * math.cos(az), dist * math.sin(az), -_SENSOR_HEIGHT + h / 2.0
+    box = Box3D(cx, cy, cz, w=w, l=length, h=h, yaw=rng.uniform(-math.pi, math.pi))
     n = int(rng.integers(_CLUSTER_POINTS_MIN, _CLUSTER_POINTS_MAX + 1))
-    local = rng.uniform(-0.45, 0.45, size=(n, 3)) * np.array([length, w, h])
-    world = box.center() + local @ box.rotation().T
-    return np.column_stack([world, rng.uniform(0.0, 1.0, size=n)]), box
+    local = rng.uniform(-0.45, 0.45, size=(n, 3))
+    local *= (length, w, h)
+    points = np.empty((n, 4))
+    np.add((cx, cy, cz), local @ box.rotation().T, out=points[:, :3])
+    points[:, 3] = rng.uniform(0.0, 1.0, size=n)
+    return points, box
 
 
 def synthesize_scene(
@@ -80,7 +77,7 @@ def synthesize_scene(
         pts, box = _object_cluster(rng)
         parts.append(pts)
         boxes.append(box)
-    return Scene(np.vstack(parts), boxes, domain_tag)
+    return Scene(np.concatenate(parts), boxes, domain_tag)
 
 
 def synthesize_dataset(

@@ -275,6 +275,15 @@ class TestErrorMapping:
         cfg.write_text("p_tm = 2.0\n")
         assert run("match", str(cloud), "--config", str(cfg), "--out", str(tmp_path / "o.bin")) == 1
 
+    def test_count_beyond_float_range_is_validation_error(self, manifest, tmp_path, capsys):
+        # a 401-digit source_channels used to end matching in an OverflowError traceback
+        cloud = next((manifest / "source").glob("*.bin"))
+        cfg = tmp_path / "big.txt"
+        cfg.write_text("source_channels = " + "9" * 401 + "\n")
+        assert run("match", str(cloud), "--config", str(cfg), "--out", str(tmp_path / "o.bin")) == 1
+        assert "source_channels must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
+
     def test_help_exits_zero(self):
         assert run("--help") == 0
 

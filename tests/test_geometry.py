@@ -236,6 +236,23 @@ class TestBox3D:
         with pytest.raises(ValueError, match="must be finite"):
             Box3D(**fields)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("w", True), ("cx", "1"), ("yaw", None), ("cz", np.True_), ("l", 10**400), ("score", True)],
+        ids=["bool", "str", "none", "numpy-bool", "huge-int", "bool-score"],
+    )
+    def test_rejects_field_that_is_not_a_real(self, field, value):
+        # w=True and score=True were accepted, and cx="1" raised TypeError
+        fields = dict(cx=0, cy=0, cz=0, w=1, l=1, h=1, yaw=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            Box3D(**fields)
+
+    @pytest.mark.parametrize("value", [1, np.int64(2), np.float32(0.5), np.float64(1.5)])
+    def test_accepts_python_and_numpy_reals(self, value):
+        box = Box3D(value, value, value, value, value, value, value, score=np.float64(0.5))
+        assert box.cx == value and box.score == 0.5
+
     def test_yaw_normalized_on_construction(self):
         box = Box3D(0, 0, 0, w=1, l=1, h=1, yaw=3 * math.pi)
         assert box.yaw == pytest.approx(-math.pi)

@@ -404,12 +404,34 @@ class TestConfig:
                 "line 1: mode_weight_translate = -0.5: "
                 "mode_weight_translate must be finite and >= 0, got -0.5",
             ),
+            # a count and a sum are named by their keys too
+            ("k_sectors = 0\n", "line 1: k_sectors = 0: k_sectors must be an integer >= 1 and <= 2**53, got 0"),
+            (
+                "source_channels = 0\n",
+                "line 1: source_channels = 0: source_channels must be an integer >= 1 and <= 2**53, got 0",
+            ),
+            (
+                "mode_weight_translate = 0.9\n",
+                "line 1: mode_weight_translate = 0.9: mode_weight_translate + mode_weight_add"
+                " + mode_weight_remove must sum to 1, got 1.5666666666666667",
+            ),
         ],
-        ids=["degrees", "lambda", "epsilon", "repaired-line", "joint-bound", "packing", "mode-weight"],
+        ids=[
+            "degrees", "lambda", "epsilon", "repaired-line", "joint-bound", "packing", "mode-weight",
+            "count", "spec-count", "sum",
+        ],
     )
     def test_range_refusal_names_line_key_and_file_units(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", ["k_sectors", "source_channels"])
+    def test_count_beyond_float_range_refused(self, key):
+        # k_sectors raised OverflowError from k * min_width; source_channels
+        # was accepted and made matching raise OverflowError
+        big = "9" * 401
+        with pytest.raises(ValueError, match=rf"^line 1: {key} = 9+: {key} must be an integer >= 1 and <= 2\*\*53"):
+            parse_config(f"{key} = {big}\n")
 
     def test_non_finite_value_names_line_and_key(self):
         with pytest.raises(ValueError, match=r"^line 2: bad value for 'lambda'"):

@@ -172,6 +172,12 @@ class TestSampleSectors:
             SectorParams(k=k)
 
 
+    def test_k_beyond_two_to_the_53_refused(self):
+        # 10**400 sectors made k * min_width raise OverflowError
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 1 and <= 2\*\*53, got 1000"):
+            SectorParams(k=10**400)
+
+
 class TestBoxCrossesBoundary:
     def test_inside_sector(self):
         box = small_box_at(math.pi / 2)

@@ -449,6 +449,32 @@ class TestBackproject:
             assert d_az <= half_col * (1 + 1e-9)
             assert abs(aer[src, 1] - el) <= half_row * (1 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [WAYMO_64, NUSCENES_32, sensor._lattice_spec(WAYMO_64, 4, 2, 1)],
+        ids=["waymo", "nuscenes", "lattice"],
+    )
+    def test_cell_points_match_per_point_reference(self, spec):
+        # every length up to 39 covers each SIMD remainder of np.cos and np.sin;
+        # lengths beyond the grid's cell count are skipped
+        rng = np.random.default_rng(5)
+        n_cells = spec.channels * spec.points_per_channel
+        for n in [n for n in [*range(40), 100, 1200, 14_000, 30_000] if n <= n_cells]:
+            img = RangeImage.empty(spec)
+            cells = rng.choice(n_cells, size=n, replace=False)
+            img.ranges.flat[cells] = rng.uniform(0.5, 120.0, n)
+            img.intensities.flat[cells] = rng.uniform(0.0, 1.0, n)
+            rows, cols = np.nonzero(img.ranges > 0.0)
+            ranges, intensities = img.ranges[rows, cols], img.intensities[rows, cols]
+            got = sensor._cell_points(spec, rows, cols, ranges, intensities)
+            assert got.tobytes() == reference_backproject(img).points.tobytes(), n
+
+    def test_direction_tables_built_once_per_spec(self):
+        spec = SensorSpec(8, 16, -0.2, 0.1)
+        assert sensor._directions(spec) is sensor._directions(SensorSpec(8, 16, -0.2, 0.1))
+        assert [t.size for t in sensor._directions(spec)] == [8, 8, 16, 16]
+        assert not any(t.flags.writeable for t in sensor._directions(spec))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matched_raycast_source_matches_per_point_reference(self, seed):
         # the image that matching to NUSCENES_32 back-projects, about 14k cells
