@@ -171,7 +171,6 @@ class TestSampleSectors:
         with pytest.raises(ValueError, match="k must be an integer >= 1"):
             SectorParams(k=k)
 
-
     def test_k_beyond_two_to_the_53_refused(self):
         # 10**400 sectors made k * min_width raise OverflowError
         with pytest.raises(ValueError, match=r"^k must be an integer >= 1 and <= 2\*\*53, got 1000"):
