@@ -274,9 +274,10 @@ def _cell_points(
     spec: SensorSpec, rows: np.ndarray, cols: np.ndarray, ranges: np.ndarray, intensities: np.ndarray
 ) -> np.ndarray:
     """(N, 4) points at the cell-centre elevation of each row and azimuth of
-    each column of spec's grid, at the given ranges and intensities. The
-    products are taken in the order of `xyz_from_spherical`, (r cos el) cos
-    az, so the points are its bits: the one builder of cell-centre points."""
+    each column of spec's grid, at the given ranges and intensities: the one
+    builder of cell-centre points. The products are taken in the order of
+    `xyz_from_spherical`, (r cos el) cos az, so the points have the bits it
+    gives on the cell-centre angles."""
     cos_el, sin_el, cos_az, sin_az = _directions(spec)
     points = np.empty((len(ranges), 4))
     r_cos_el = ranges * cos_el[rows]
