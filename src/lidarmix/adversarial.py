@@ -215,6 +215,26 @@ def point_mixup(a: Scene, b: Scene) -> Scene:
     return Scene(points, a.boxes + b.boxes, DomainTag.MIXED, a.pseudo_labeled or b.pseudo_labeled)
 
 
+# From this many (AM, PM) box pairs on, looking up exact twins costs less
+# than the pass it saves.
+_TWIN_LOOKUP_PAIRS = 2048
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between the first six columns of
+    box rows, as the six per-coordinate squares added in order: the same
+    sums, bit for bit, as an (A, B, 6) difference summed over its last axis,
+    but with two (A, B) buffers instead of a 6-wide temporary."""
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    diff = np.empty_like(sq)
+    for k in range(1, 6):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        sq += diff
+    return sq
+
+
 def consistency_loss(boxes_am: Sequence[Box3D], boxes_pm: Sequence[Box3D]) -> float:
     """Bidirectional nearest-box distance between two prediction sets.
 
@@ -229,20 +249,32 @@ def consistency_loss(boxes_am: Sequence[Box3D], boxes_pm: Sequence[Box3D]) -> fl
     if n_am == 0 or n_pm == 0:
         raise OneSidedEmpty(f"one prediction set is empty ({n_am} vs {n_pm} boxes)")
     a, b = BoxSet.of(boxes_am).data, BoxSet.of(boxes_pm).data
-    # Squared distance as the six per-coordinate squares added in order:
-    # the same sums, bit for bit, as an (A, B, 6) difference summed over
-    # its last axis, but with two (A, B) buffers instead of a 6-wide
-    # temporary.
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
-    sq *= sq
-    diff = np.empty_like(sq)
-    for k in range(1, 6):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
-        diff *= diff
-        sq += diff
+    n = n_am + n_pm
+    if n_am * n_pm >= _TWIN_LOOKUP_PAIRS:
+        # A row equal in all six columns to a row of the other set is at
+        # squared distance +0.0 from it (x - x is +0.0, also across signed
+        # zeros), so only the other rows go through the pass, still against
+        # the whole other set. The lookup may miss a twin whose cx other
+        # rows share; the pass then finds the same +0.0.
+        order = b[:, 0].argsort()
+        cand = order[np.searchsorted(b[order, 0], a[:, 0]).clip(max=n_pm - 1)]
+        twin = (b[cand, :6] == a[:, :6]).all(axis=1)
+        twin_pm = np.zeros(n_pm, dtype=bool)
+        twin_pm[cand[twin]] = True
+        rest_am, rest_pm = np.flatnonzero(~twin), np.flatnonzero(~twin_pm)
+        n_rest = rest_am.size
+        if (n_rest + rest_pm.size) * n < n_am * n_pm:
+            # one pass of the rest rows of both sets against both sets;
+            # (b - a)^2 is (a - b)^2 bit for bit
+            sq = _squared_distances(np.concatenate((a[rest_am], b[rest_pm])), np.concatenate((b, a)))
+            nearest_am, nearest_pm = np.zeros(n_am), np.zeros(n_pm)
+            nearest_am[rest_am] = np.sqrt(sq[:n_rest, :n_pm].min(axis=1))
+            nearest_pm[rest_pm] = np.sqrt(sq[n_rest:, n_pm:].min(axis=1))
+            return float((nearest_am.sum() + nearest_pm.sum()) / n)
+    sq = _squared_distances(a, b)
     # sqrt is monotone, so the root of each minimum is the minimum root.
     nearest_am, nearest_pm = np.sqrt(sq.min(axis=1)), np.sqrt(sq.min(axis=0))
-    return float((nearest_am.sum() + nearest_pm.sum()) / (n_am + n_pm))
+    return float((nearest_am.sum() + nearest_pm.sum()) / n)
 
 
 def advmix_sample(

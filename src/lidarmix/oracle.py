@@ -27,7 +27,13 @@ _SCORE_SATURATION = 50  # points from which a cluster scores 1
 class DetectorOracle(GradientProvider, Protocol):
     """Prediction plus loss/gradient evaluation over scenes. Read-only by
     construction: nothing trains, so `run_full` hands one object both the
-    teacher's and the student's role and the teacher cannot drift."""
+    teacher's and the student's role and the teacher cannot drift.
+
+    Answers depend only on the scene's points and the given boxes, not on
+    its domain tag or pseudo flag, so `run_full` may reuse an answer within
+    one call: the teacher's prediction on an unlabeled scene stands for its
+    pseudo-labeled copy, and the loss the perturbation took on a scene
+    stands for that scene's detection loss against the same boxes."""
 
     def predict(self, scene: Scene) -> Sequence[Box3D]:
         """The boxes detected in scene, each with a score: a BoxSet, or any

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
@@ -36,6 +37,12 @@ from .sector_mix import SectorParams, targetmix_sample
 from .sensor import NUSCENES_32, WAYMO_64, SensorSpec, lidar_distribution_match
 
 logger = logging.getLogger("lidarmix.pipeline")
+
+# Set by run_full for the length of one call: each pseudo-labeled scene it
+# made, keyed by the scene object, mapped to the teacher's full prediction.
+_teacher_predictions: ContextVar[dict[Scene, BoxSet] | None] = ContextVar(
+    "_teacher_predictions", default=None
+)
 
 
 @dataclass
@@ -209,15 +216,17 @@ def generate_pseudo_labels(
     scene; scenes stay TARGET_UNLABELED with the pseudo flag set. A box
     without a score is dropped."""
     _check_real("threshold", threshold, 0.0, 1.0)
+    teacher = _teacher_predictions.get()
     annotated = []
     for scene in unlabeled_scenes:
         preds = BoxSet.of(oracle.predict(scene))
         kept = preds[preds.data[:, 8] >= threshold]  # a missing score is NaN
         if stats is not None:
             stats.discarded += len(preds) - len(kept)
-        annotated.append(
-            Scene(scene.points.copy(), kept, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
-        )
+        pseudo = Scene(scene.points.copy(), kept, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
+        if teacher is not None:
+            teacher[pseudo] = preds
+        annotated.append(pseudo)
     return annotated
 
 
@@ -228,6 +237,19 @@ def _random_rigid_params(rng: np.random.Generator) -> tuple[bool, bool, float, f
         float(rng.uniform(-math.pi / 4, math.pi / 4)),
         float(rng.uniform(0.95, 1.05)),
     )
+
+
+class _LossTap:
+    """A GradientProvider that forwards to the oracle and keeps the float
+    of the last loss it took, but not the gradient field."""
+
+    def __init__(self, oracle: DetectorOracle):
+        self.oracle, self.loss = oracle, None
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = self.oracle.loss_and_gradient(scene, boxes)
+        self.loss = float(loss)
+        return loss, field
 
 
 def run_advmix_stage(
@@ -246,9 +268,17 @@ def run_advmix_stage(
     unlabeled one does not. One-sided-empty consistency samples are
     skipped: they count in consistency_skipped and stay out of
     mean_consistency_loss.
+
+    Under `run_full`, an unmixed sample's AM branch is the pseudo scene
+    itself: its prediction is the teacher's, which `run_full` hands over,
+    and its detection loss is the one the perturbation just took against
+    the same boxes (a scene without points took none and is asked). Called
+    on its own, the stage asks the oracle for both branches of every sample.
     """
     if not target_labeled or not pseudo_labeled:
         raise ValueError("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
+    teacher = _teacher_predictions.get() or {}
+    tap = _LossTap(oracle)
     rng = seeded_rng(cfg.seed, 2)
     report = StageReport("advmix", cfg.seed)
     report.pseudo_boxes_kept = sum(len(s.boxes) for s in pseudo_labeled)
@@ -259,8 +289,9 @@ def run_advmix_stage(
         cons_values = []
         for labeled, unlabeled, _ in _slot_pairs(rng, target_labeled, pseudo_labeled):
             labeled = apply_rigid_transform(labeled, *_random_rigid_params(rng))
+            tap.loss = None
             adv, outcome = adversarial_perturb_detailed(
-                unlabeled, unlabeled.boxes, oracle, cfg.perturbation, rng
+                unlabeled, unlabeled.boxes, tap, cfg.perturbation, rng
             )
             stats.points_total += unlabeled.n_points
             stats.points_candidates += outcome.candidates
@@ -274,10 +305,19 @@ def run_advmix_stage(
             scene_am, scene_pm, mixed = advmix_sample(rng, cfg.p_am, labeled, adv, unlabeled)
             if mixed:
                 stats.mixed_scenes += 1
-            det = _detection_loss(oracle, scene_am) + _detection_loss(oracle, scene_pm)
+            # Unmixed, AM is the pseudo scene itself: under run_full the
+            # teacher has predicted it and the perturbation took its loss.
+            preds_am = None if mixed else teacher.get(scene_am)
+            if preds_am is None or tap.loss is None:  # a scene without points took none
+                det_am = _detection_loss(oracle, scene_am)
+            else:
+                det_am = tap.loss
+            det = det_am + _detection_loss(oracle, scene_pm)
             det_losses.append(det)
             try:
-                cons = consistency_loss(oracle.predict(scene_am), oracle.predict(scene_pm))
+                if preds_am is None:
+                    preds_am = oracle.predict(scene_am)
+                cons = consistency_loss(preds_am, oracle.predict(scene_pm))
                 cons_values.append(cons)
                 total_losses.append(det + cfg.lam * cons)
             except OneSidedEmpty:
@@ -297,17 +337,25 @@ def run_full(
     """Stage 1, pseudo-labeling, then stage 2. One oracle object plays every
     role: the stage-1 detector, the teacher that pseudo-labels and perturbs,
     and the student; nothing trains, so a copy would be equal. An empty role
-    raises ValueError before any stage runs."""
+    raises ValueError before any stage runs.
+
+    For the length of the call, the teacher's full prediction on each pseudo
+    scene is kept, keyed by the scene object, for stage 2 to reuse (see
+    `run_advmix_stage`); nothing is kept from one call to the next."""
     empty = [role for role, scenes in vars(datasets).items() if not scenes]
     if empty:
         raise ValueError(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
     oracle = oracle if oracle is not None else GridClusterOracle()
     report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, oracle)
     stats = PseudoLabelStats()
-    pseudo = generate_pseudo_labels(
-        oracle, datasets.target_unlabeled, cfg.pseudo_score_threshold, stats
-    )
-    report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle)
+    token = _teacher_predictions.set({})
+    try:
+        pseudo = generate_pseudo_labels(
+            oracle, datasets.target_unlabeled, cfg.pseudo_score_threshold, stats
+        )
+        report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle)
+    finally:
+        _teacher_predictions.reset(token)
     report_am.pseudo_boxes_discarded = stats.discarded
     logger.info(
         "pipeline done: pseudo kept=%d discarded=%d", report_am.pseudo_boxes_kept, stats.discarded

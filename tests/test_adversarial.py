@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cluster_scene, random_box, raycast_world, reference_points_in_box
-from lidarmix import adversarial, geometry, synth
+from lidarmix import adversarial, geometry, pipeline, synth
 from lidarmix.adversarial import (
     GradientField,
     OneSidedEmpty,
@@ -638,6 +639,94 @@ class TestConsistencyLoss:
         assert consistency_loss(boxes_am, boxes_pm) == reference_consistency_loss(
             boxes_am, boxes_pm
         )
+
+
+def _grid_boxes(rng, n):
+    """n distinct boxes on a coarse grid, so some coordinates are exactly 0.0."""
+    rows = rng.integers(-3, 4, size=(n, 3)).astype(float)
+    rows[:, 0] = np.arange(n) - n // 2  # distinct cx, 0.0 among them
+    sizes = rng.uniform(0.5, 3.0, size=(n, 3))
+    return [Box3D(*centre, *size, yaw=0.0) for centre, size in zip(rows.tolist(), sizes.tolist())]
+
+
+def _assert_matches_reference(boxes_am, boxes_pm):
+    got = consistency_loss(boxes_am, boxes_pm)
+    want = reference_consistency_loss(boxes_am, boxes_pm)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    return got
+
+
+def _recorded_pipeline_pairs():
+    """The (AM, PM) prediction pairs that run_full scores on seeds 0-3."""
+    pairs = []
+
+    def record(boxes_am, boxes_pm):
+        pairs.append((list(boxes_am), list(boxes_pm)))
+        return consistency_loss(boxes_am, boxes_pm)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "consistency_loss", record)
+        for seed in range(4):
+            pipeline.run_full(PipelineConfig(seed=seed), synth.synthesize_dataset(seed))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [3, 64])  # 64 x 64 pairs reach the twin lookup
+class TestConsistencyTwins:
+    """Rows equal in all six columns to a row of the other set score 0;
+    every case must give the broadcast reference's bits."""
+
+    def test_signed_zero_twins(self, n, rng):
+        boxes = _grid_boxes(rng, n)
+        flipped = [
+            dataclasses.replace(b, **{f: -0.0 for f in ("cx", "cy", "cz") if getattr(b, f) == 0.0})
+            for b in boxes
+        ]
+        assert any(math.copysign(1.0, b.cx) < 0 for b in flipped)
+        assert _assert_matches_reference(boxes, flipped) == 0.0
+        assert _assert_matches_reference(flipped, boxes + [random_box(rng)]) > 0.0
+
+    def test_equal_cx_other_columns_differ(self, n, rng):
+        boxes = _grid_boxes(rng, n)
+        # every AM cx also starts a PM row that differs elsewhere, sorted
+        # ahead of the true twin or with no twin at all
+        decoys = [dataclasses.replace(b, cy=b.cy + 0.25, h=b.h * 2.0) for b in boxes]
+        _assert_matches_reference(boxes, decoys + boxes[::2])
+        _assert_matches_reference(decoys + boxes[::2], boxes)
+        _assert_matches_reference(boxes, decoys)
+
+    def test_near_twins_one_ulp_apart(self, n, rng):
+        boxes = _grid_boxes(rng, n)
+        for field in ("cx", "cy", "cz", "w", "l", "h"):
+            nudged = [
+                dataclasses.replace(b, **{field: float(np.nextafter(getattr(b, field), np.inf))})
+                for b in boxes
+            ]
+            assert _assert_matches_reference(boxes, nudged) > 0.0
+            _assert_matches_reference(boxes, nudged[: n // 2] + boxes[n // 2 :])
+
+    def test_all_twins(self, n, rng):
+        boxes = _grid_boxes(rng, n)
+        shuffled = [boxes[i] for i in rng.permutation(n)]
+        assert _assert_matches_reference(boxes, shuffled) == 0.0
+
+    def test_no_twins(self, n, rng):
+        boxes = _grid_boxes(rng, n)
+        _assert_matches_reference(boxes, [random_box(rng) for _ in range(n)])
+
+    def test_repeated_rows(self, n, rng):
+        boxes = _grid_boxes(rng, n)
+        repeated = boxes[:2] * 3 + boxes
+        others = [random_box(rng) for _ in range(4)]
+        _assert_matches_reference(repeated, boxes[1:] + others)
+        _assert_matches_reference(boxes[1:] + others + boxes[1:2] * 4, repeated)
+
+
+def test_consistency_matches_reference_on_pipeline_pairs():
+    pairs = _recorded_pipeline_pairs()
+    assert len(pairs) == 80
+    for boxes_am, boxes_pm in pairs:
+        _assert_matches_reference(boxes_am, boxes_pm)
 
 
 class ScriptedStudent:

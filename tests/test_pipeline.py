@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from conftest import cluster_scene
 from lidarmix import pipeline
 from lidarmix.adversarial import GradientField, PerturbationConfig
-from lidarmix.geometry import DomainTag, Scene
+from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import (
     DatasetBundle,
@@ -314,6 +316,141 @@ class TestRunFull:
         _, r2 = run_full(small_cfg(), bundle)
         for e in r2.epochs:
             assert e.points_perturbed <= e.points_candidates <= e.points_total
+
+
+class CountingOracle:
+    """GridClusterOracle behind a proxy that counts its calls and keeps the
+    scenes it took a loss on."""
+
+    def __init__(self):
+        self.inner = GridClusterOracle()
+        self.predict_calls = 0
+        self.evaluated = []
+
+    def counts(self):
+        return self.predict_calls, len(self.evaluated)
+
+    def predict(self, scene):
+        self.predict_calls += 1
+        return self.inner.predict(scene)
+
+    def loss_and_gradient(self, scene, boxes):
+        self.evaluated.append(scene)
+        return self.inner.loss_and_gradient(scene, boxes)
+
+
+class FieldTrackingOracle(CountingOracle):
+    """Records, at each loss call, how many earlier gradient fields live."""
+
+    def __init__(self):
+        super().__init__()
+        self.fields = []
+        self.most_alive = 0
+
+    def loss_and_gradient(self, scene, boxes):
+        alive = sum(ref() is not None for ref in self.fields)
+        self.most_alive = max(self.most_alive, alive)
+        loss, field = super().loss_and_gradient(scene, boxes)
+        self.fields.append(weakref.ref(field))
+        return loss, field
+
+
+class EmptySceneTeacher(CountingOracle):
+    """Detects one box in a scene without points and takes a loss of 1.25
+    there, where GridClusterOracle would find nothing."""
+
+    def predict(self, scene):
+        if scene.n_points:
+            return super().predict(scene)
+        self.predict_calls += 1
+        return [Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, score=1.0)]
+
+    def loss_and_gradient(self, scene, boxes):
+        if scene.n_points:
+            return super().loss_and_gradient(scene, boxes)
+        self.evaluated.append(scene)
+        return 1.25, GradientField(np.zeros((0, 3)))
+
+
+class TestStageTwoReuse:
+    """Within one run_full, an unmixed AM branch is the pseudo scene itself:
+    stage 2 takes its prediction from the teacher and its detection loss
+    from the perturbation, with the reports unchanged."""
+
+    # (predict, loss_and_gradient) calls of one run_full on the default
+    # bundle; every seed made (56, 84) before the reuse.
+    PINNED_CALLS = {0: (46, 74), 1: (51, 79), 2: (50, 78), 3: (47, 75)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_calls_are_pinned(self, seed):
+        proxy = CountingOracle()
+        bundle = synthesize_dataset(seed)
+        first = run_full(PipelineConfig(seed=seed), bundle, proxy)
+        assert proxy.counts() == self.PINNED_CALLS[seed]
+        # a second call repeats the first: nothing carries over between calls
+        second = run_full(PipelineConfig(seed=seed), bundle, proxy)
+        assert proxy.counts() == tuple(2 * n for n in self.PINNED_CALLS[seed])
+        assert [r.to_json() for r in first] == [r.to_json() for r in second]
+
+    def test_standalone_stage_predicts_both_branches(self, bundle):
+        proxy = CountingOracle()
+        run_full(small_cfg(), bundle, proxy)
+        pseudo = generate_pseudo_labels(proxy, bundle.target_unlabeled, 0.3)
+        before = proxy.predict_calls
+        cfg = small_cfg(p_am=0.0, epochs_am=2)
+        report = run_advmix_stage(cfg, bundle.target_labeled, pseudo, proxy)
+        samples = sum(e.scenes_processed for e in report.epochs)
+        assert proxy.predict_calls - before == 2 * samples
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_no_gradient_field_is_kept(self, seed):
+        oracle = FieldTrackingOracle()
+        run_full(PipelineConfig(seed=seed), synthesize_dataset(seed), oracle)
+        assert len(oracle.fields) == self.PINNED_CALLS[seed][1]
+        assert oracle.most_alive <= 1
+
+    def test_redrawn_pseudo_scene_recomputes_its_gradient(self, monkeypatch):
+        drawn = []
+
+        def perturb(scene, *args):
+            drawn.append(scene)
+            return pipeline_adversarial_perturb(scene, *args)
+
+        pipeline_adversarial_perturb = pipeline.adversarial_perturb_detailed
+        monkeypatch.setattr(pipeline, "adversarial_perturb_detailed", perturb)
+        oracle = CountingOracle()
+        run_full(PipelineConfig(seed=0), synthesize_dataset(0), oracle)
+        redrawn = {id(s) for s in drawn if sum(d is s for d in drawn) > 1}
+        assert redrawn
+        for scene in drawn:
+            # one gradient per draw, from the perturbation; an unmixed AM
+            # branch reuses that draw's loss
+            draws = sum(d is scene for d in drawn)
+            assert sum(s is scene for s in oracle.evaluated) == draws * bool(scene.boxes)
+
+    def test_pseudo_scene_without_points_takes_its_am_loss(self, bundle):
+        # the perturbation returns early on a scene without points and takes
+        # no loss, so the AM branch takes its own, as a standalone stage does
+        empty = Scene(np.zeros((0, 4)), [], DomainTag.TARGET_UNLABELED)
+        roles = DatasetBundle(bundle.source, bundle.target_labeled, [empty, bundle.target_unlabeled[0]])
+        cfg = small_cfg(p_am=0.0)  # every AM branch is its pseudo scene
+        oracle = EmptySceneTeacher()
+        _, report = run_full(cfg, roles, oracle)
+
+        teacher, stats = EmptySceneTeacher(), PseudoLabelStats()
+        pseudo = generate_pseudo_labels(teacher, roles.target_unlabeled, 0.3, stats)
+        expected = run_advmix_stage(cfg, roles.target_labeled, pseudo, teacher)
+        expected.pseudo_boxes_discarded = stats.discarded
+        assert pseudo[0].boxes and pseudo[0].n_points == 0
+        assert report.to_json() == expected.to_json()
+        losses_on_empty = [s for s in oracle.evaluated if s.n_points == 0]
+        assert len(losses_on_empty) == sum(s.n_points == 0 for s in teacher.evaluated) > 0
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == EMPTY_SCENE_REPORT_SHA256
+
+
+# The stage-2 report of the test above as computed before the reuse.
+EMPTY_SCENE_REPORT_SHA256 = "3a6e023eae44b8b136765d3450340ee189431c61971a27bc34f1f2b0f0d0bc3e"
 
 
 class TestSlotPairs:
