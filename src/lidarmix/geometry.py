@@ -250,12 +250,14 @@ class BoxSet(Sequence):
 
     Rows are checked as Box3D checks its fields, in one vectorised pass, and
     out-of-range yaws are wrapped as Box3D wraps them. Subsets and `+` reuse
-    rows that are valid already. An int index and iteration yield Box3Ds; a
-    slice, mask or index array yields a BoxSet. `==` against a BoxSet or a
-    list of Box3Ds is one bool.
+    rows that are valid already, and a subset of a set that holds its
+    frames or azimuths slices them on first use rather than rebuilding
+    them. An int index and iteration yield Box3Ds; a slice, mask or index
+    array yields a BoxSet. `==` against a BoxSet or a list of Box3Ds is one
+    bool.
     """
 
-    __slots__ = ("data", "_frames", "_azimuths")
+    __slots__ = ("data", "_frames", "_azimuths", "_rows_of")
 
     def __init__(self, rows=()):
         data = np.array(rows, dtype=np.float64)
@@ -265,14 +267,14 @@ class BoxSet(Sequence):
             raise ValueError(f"box rows must have shape (K, 9), got {data.shape}")
         _validate(data)
         data.flags.writeable = False
-        self.data, self._frames, self._azimuths = data, None, None
+        self.data, self._frames, self._azimuths, self._rows_of = data, None, None, None
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "BoxSet":
         """The set of rows that are known to be valid, without checks."""
         boxes = object.__new__(cls)
         data.flags.writeable = False
-        boxes.data, boxes._frames, boxes._azimuths = data, None, None
+        boxes.data, boxes._frames, boxes._azimuths, boxes._rows_of = data, None, None, None
         return boxes
 
     @classmethod
@@ -290,7 +292,11 @@ class BoxSet(Sequence):
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return _box(self.data[key].tolist())
-        return BoxSet._trusted(self.data[key])
+        subset = BoxSet._trusted(self.data[key])
+        if self._frames is not None or self._azimuths is not None:
+            # The rows as indices: the caller may reuse its key array.
+            subset._rows_of = self, key if isinstance(key, slice) else np.arange(len(self))[key]
+        return subset
 
     def __iter__(self):
         return map(_box, self.data.tolist())
@@ -310,6 +316,8 @@ class BoxSet(Sequence):
         """Each box's `center()` (K, 3), `rotation()` (K, 3, 3) and
         `half_sizes()` (K, 3), made on the first call only."""
         if self._frames is None:
+            self._frames = self._inherited("_frames")
+        if self._frames is None:
             yaw = self.data[:, 6].tolist()  # libm per box, as in Box3D.rotation()
             rotations = np.zeros((len(yaw), 3, 3))
             rotations[:, 0, 0] = rotations[:, 1, 1] = list(map(math.cos, yaw))
@@ -318,6 +326,15 @@ class BoxSet(Sequence):
             half = self.data[:, [4, 3, 5]] / 2.0
             self._frames = _read_only(self.data[:, :3], rotations, half)
         return self._frames
+
+    def _inherited(self, cache: str) -> tuple[np.ndarray, ...] | None:
+        """A subset's rows of its parent's cached arrays, if the parent holds
+        them: every cached array is per box, so they equal a fresh build."""
+        if self._rows_of is None:
+            return None
+        parent, key = self._rows_of
+        arrays = getattr(parent, cache)
+        return None if arrays is None else _read_only(*(a[key] for a in arrays))
 
     def corners(self) -> np.ndarray:
         """The 8 world-frame corners of every box, shape (K, 8, 3)."""
@@ -329,6 +346,8 @@ class BoxSet(Sequence):
         (start, width) covering its corners, and whether it spans every
         azimuth: its footprint reaches over the sensor origin, or its center
         is on the z-axis and has no azimuth. Computed on the first call only."""
+        if self._azimuths is None:
+            self._azimuths = self._inherited("_azimuths")
         if self._azimuths is None:
             xy = self.data[:, :2].tolist()
             # libm per box: np.arctan2 and np.hypot can differ from it in the last bit.

@@ -117,18 +117,30 @@ class TestSequence:
     @settings(max_examples=200, deadline=None)
     @given(box_lists, st.data())
     def test_subset_frames_match_a_fresh_box_set(self, bs, data):
-        # a subset computes its own frames from its rows, after the parent's
+        # a subset slices the frames and azimuths its parent holds, and
+        # builds those it does not hold from its own rows
         parent = BoxSet.of(bs)
-        parent.frames()
+        if data.draw(st.booleans()):
+            parent.frames()
+        if data.draw(st.booleans()):
+            parent.azimuths()
         key = data.draw(subset_keys(len(bs)))
         subset = parent[key]
         if isinstance(key, np.ndarray):  # the caller's key may change after the subset is taken
             key[...] = 0
-        fresh = BoxSet(subset.data).frames()
-        for got, computed in zip(subset.frames(), fresh):
+        fresh = BoxSet(subset.data)
+        for got, computed in zip(subset.frames() + subset.azimuths(), fresh.frames() + fresh.azimuths()):
             assert got.shape == computed.shape
             assert got.tobytes() == computed.tobytes()
             assert not got.flags.writeable
+
+    def test_subset_slices_the_parents_arrays(self):
+        parent = BoxSet.of([Box3D(float(k), 1.0, 0.0, 1.0, 2.0, 1.0, 0.1 * k) for k in range(1, 6)])
+        assert parent[1:4]._rows_of is None  # nothing cached, nothing to slice
+        parent.frames()
+        parent.azimuths()
+        for got, held in zip(parent[1:4].frames() + parent[1:4].azimuths(), parent.frames() + parent.azimuths()):
+            assert np.shares_memory(got, held)  # a view of the parent's rows, not a rebuild
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import cluster_scene, raycast_world
+from lidarmix import oracle as oracle_module
 from lidarmix.geometry import Box3D, BoxSet, DomainTag, Scene, points_in_box
 from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import PipelineConfig, generate_pseudo_labels, run_full
@@ -275,3 +277,82 @@ class TestDenseGridEquivalence:
         oracle = GridClusterOracle(min_points=1)
         scene = grid_scene(cells, per_cell)
         assert oracle.predict(scene) == reference_predict(oracle, scene)
+
+
+# The cell layouts of test_neighbour_search_corners, read from its mark.
+(CORNER_PARAMS,) = [
+    mark.args[1]
+    for mark in TestDenseGridEquivalence.test_neighbour_search_corners.pytestmark
+    if mark.args[0] == "cells"
+]
+CORNER_LAYOUTS = [param.values[0] for param in CORNER_PARAMS]
+
+
+@st.composite
+def cell_keys(draw):
+    """(keys, width, span): the raster keys of a few points per occupied
+    cell, in a drawn order, as predict builds them. The cells are a corner
+    layout or a drawn set of up to 60 cells in a grid of up to 12 x 12."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    drawn = st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), min_size=1, max_size=60)
+    cells = np.array(sorted(draw(st.sampled_from(CORNER_LAYOUTS) | drawn)))
+    i, j = cells[:, 0] - cells[:, 0].min(), cells[:, 1] - cells[:, 1].min()
+    width = int(j.max()) + 3
+    keys = np.repeat(i * width + j + 1, draw(st.lists(st.integers(1, 3), min_size=len(cells), max_size=len(cells))))
+    order = draw(st.permutations(range(len(keys))))
+    return keys[np.array(order)].astype(np.int64), width, (int(i.max()) + 1) * width
+
+
+class TestLabellingPaths:
+    """predict labels cells through a dense key table, or by sorting the
+    keys when the table would hold more than _TABLE_ENTRIES_PER_POINT
+    entries a point. Both must give the same labels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_keys())
+    def test_table_and_sort_give_the_same_labels(self, drawn):
+        keys, width, span = drawn
+        table = oracle_module._table_labels(keys, width, span)
+        assert np.array_equal(table, oracle_module._sorted_labels(keys, width))
+
+    # N = 10 points whose keys span 12 x 10 = 120 (the bound) or 11 x 11 =
+    # 121 (one key past it) entries: a 6- and a 4-point cluster in opposite
+    # corners.
+    @pytest.mark.parametrize(
+        "rows, cols, path",
+        [(12, 8, "_table_labels"), (11, 9, "_sorted_labels")],
+        ids=["at-the-bound", "one-key-past"],
+    )
+    def test_both_sides_of_the_bound(self, monkeypatch, rows, cols, path):
+        assert oracle_module._TABLE_ENTRIES_PER_POINT == 12  # the layouts are built for 12
+        scene = grid_scene([(0, 0), (0, 1), (rows - 1, cols - 1), (rows - 2, cols - 1)], 3)
+        scene.points = scene.points[:10]
+        assert rows * (cols + 2) - 12 * scene.n_points == (path == "_sorted_labels")
+        taken = []
+
+        def spy(name):
+            labels = getattr(oracle_module, name)
+
+            def counted(*args):
+                taken.append(name)
+                return labels(*args)
+
+            return counted
+
+        for name in ("_table_labels", "_sorted_labels"):
+            monkeypatch.setattr(oracle_module, name, spy(name))
+        assert_same_bytes(GridClusterOracle(min_points=1), scene)
+        assert taken == [path]
+
+    def test_far_outlier_gets_no_table(self, rng):
+        # a table over the outlier's extent would take about 20 MB
+        scene = cluster_scene(rng, [(0, 0, 0)], n_per=30)
+        scene.points = np.vstack([scene.points, [[1e6, 0.0, 0.0, 0.0]]])
+        tracemalloc.start()
+        try:
+            boxes = GridClusterOracle().predict(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(boxes) == 1
+        assert peak < 1_000_000
