@@ -13,7 +13,6 @@ from .adversarial import (
     adversarial_perturb_detailed,
     advmix_sample,
     consistency_loss,
-    perturbation_delta,
     point_mixup,
     surrogate_loss,
 )
@@ -24,10 +23,8 @@ from .geometry import (
     Scene,
     apply_rigid_transform,
     assign_points,
-    normalize_yaw,
     points_in_box,
     spherical_from_xyz,
-    wrap_azimuth,
     xyz_from_spherical,
 )
 from .oracle import DetectorOracle, GridClusterOracle

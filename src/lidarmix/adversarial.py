@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxSet, DomainTag, Scene, _assign_local, _check_real, assign_points
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _JointRefused, _assign_local, _check_real, assign_points
 
 
 class OneSidedEmpty(ValueError):
@@ -58,10 +58,11 @@ class PerturbationConfig:
         object.__setattr__(self, "rho", _check_real("rho", self.rho, 0.0, 1.0))
         if len(self.mode_weights) != 3:
             raise ValueError(f"mode_weights must be 3 values, got {self.mode_weights!r}")
-        w = tuple(_check_real(f"mode_weights[{i}]", x, 0.0) for i, x in enumerate(self.mode_weights))
+        paths = tuple(f"mode_weights.{i}" for i in range(3))
+        w = tuple(_check_real(path, x, 0.0) for path, x in zip(paths, self.mode_weights))
         total = sum(w)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mode_weights must sum to 1, got {total}")
+            raise _JointRefused(paths, "+", total)
         # kept as given, not divided by total: a total 1 ulp off 1 would move
         # the weights on every rebuild, and rng.choice rescales them anyway
         object.__setattr__(self, "mode_weights", w)
@@ -118,11 +119,10 @@ def surrogate_loss(scene: Scene, boxes: Sequence[Box3D]) -> tuple[float, Gradien
     return total / n, GradientField(grads, (indptr, indices))
 
 
-def perturbation_delta(field: GradientField, epsilon: float) -> np.ndarray:
-    """Per-point displacement of magnitude epsilon along the normalized
-    negative loss gradient; zero where the gradient vanishes."""
+def _perturbation_delta(g: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per-row displacement of magnitude epsilon along the normalized
+    negative loss gradient g, (N, 3); zero where the gradient vanishes."""
     _check_real("epsilon", epsilon, 0.0, above=True)
-    g = field.grads
     norms = np.linalg.norm(g, axis=1)[:, None]
     return np.divide(-epsilon * g, norms, out=np.zeros_like(g), where=norms > 0.0)
 
@@ -179,9 +179,9 @@ def adversarial_perturb_detailed(
     outcome.candidates = int(candidates.size)
     selected = candidates[rng.random(candidates.size) < cfg.rho]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)
-    # perturbation_delta works row by row, so the selected rows suffice
+    # _perturbation_delta works row by row, so the selected rows suffice
     # (take and compress copy rows far faster than fancy or mask indexing).
-    step = perturbation_delta(GradientField(field.grads.take(selected, axis=0)), cfg.epsilon)
+    step = _perturbation_delta(field.grads.take(selected, axis=0), cfg.epsilon)
     del field  # its (N, 3) gradients, freed before the output is built
 
     moving = step.any(axis=1)

@@ -35,11 +35,12 @@ _MAX_EXACT = 2**53
 
 
 class _Refused(ValueError):
-    """A refusal by `_check_count` or `_check_real`. It keeps the check's
-    name, value and bounds, so a caller can restate it under another name
-    and in other units."""
+    """A refusal by `_check_count` or `_check_real`. It keeps the field's
+    path, whose tuple item "name.i" is shown as "name[i]", and the check's
+    value and bounds, so a caller can restate it in other names and units."""
 
-    def __init__(self, name: str, value, lo: float, hi: float, above: bool = False, count: bool = False):
+    def __init__(self, path: str, value, lo: float, hi: float, above: bool = False, count: bool = False):
+        name = path.replace(".", "[") + "]" if "." in path else path
         if count:
             rule = f"{name} must be an integer >= {lo} and <= 2**53"
         else:
@@ -49,19 +50,33 @@ class _Refused(ValueError):
             if hi < math.inf:
                 rule += f" and <= {hi:g}"
         super().__init__(f"{rule}, got {value!r}")
-        self.name, self.value, self.lo, self.hi = name, value, lo, hi
+        self.path, self.name, self.value, self.lo, self.hi = path, name, value, lo, hi
         self.above, self.count = above, count
 
 
-def _check_count(name: str, value, minimum: int = 1) -> None:
+class _JointRefused(_Refused):
+    """A refused bound on fields together: their product ("*") must stay
+    below 2pi, or the sum ("+") of one tuple's items must be 1. It keeps the
+    fields' `paths`, `op`, the product or sum `value` and its `bound`."""
+
+    def __init__(self, paths: tuple[str, ...], op: str, value: float):
+        if op == "*":
+            name, bound, rule = " * ".join(paths), TWO_PI, f"= {value} must stay below 2pi"
+        else:
+            name, bound, rule = paths[0].partition(".")[0], 1.0, f"must sum to 1, got {value}"
+        ValueError.__init__(self, f"{name} {rule}")
+        self.paths, self.name, self.op, self.value, self.bound = paths, name, op, value, bound
+
+
+def _check_count(path: str, value, minimum: int = 1) -> None:
     """Refuse a count that is not an integer in [minimum, 2**53], before it
     can fail mid-run: a larger count is not exact in a float, and arithmetic
     that mixes it with floats can overflow."""
     if not (_is_integer(value) and minimum <= value <= _MAX_EXACT):
-        raise _Refused(name, value, minimum, _MAX_EXACT, count=True)
+        raise _Refused(path, value, minimum, _MAX_EXACT, count=True)
 
 
-def _check_real(name: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> float:
+def _check_real(path: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> float:
     """value as a Python float. ValueError (_Refused) unless it is a Python
     or numpy int or float, not bool, finite and in [lo, hi], or (lo, hi] when
     above is set: every real-valued input is checked here, as counts are by
@@ -73,7 +88,7 @@ def _check_real(name: str, value, lo=-math.inf, hi=math.inf, *, above=False) -> 
             x = math.inf
         if math.isfinite(x) and (x > lo if above else x >= lo) and x <= hi:
             return x
-    raise _Refused(name, value, lo, hi, above)
+    raise _Refused(path, value, lo, hi, above)
 
 
 class DomainTag(enum.Enum):
@@ -83,25 +98,22 @@ class DomainTag(enum.Enum):
     MIXED = "mixed"
 
 
-def wrap_azimuth(angle):
-    """Wrap angle(s) into [0, 2pi).
+def _wrap_azimuth(angle):
+    """Wrap a float, or an array of angles, into [0, 2pi).
 
     np.mod can round tiny negative inputs up to exactly 2pi, so that edge
-    is folded back to 0. A Python float takes the float `%`, which is the
-    same floored remainder as np.mod, bit for bit.
+    is folded back to 0. A float takes the float `%`, which is the same
+    floored remainder as np.mod, bit for bit.
     """
-    if type(angle) is float:
+    if isinstance(angle, float):
         a = angle % TWO_PI
         return 0.0 if a >= TWO_PI else a
     a = np.mod(angle, TWO_PI)
-    a = np.where(a >= TWO_PI, 0.0, a)
-    if np.ndim(angle) == 0:
-        return float(a)
-    return a
+    return np.where(a >= TWO_PI, 0.0, a)
 
 
 def _azimuth(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`wrap_azimuth(np.arctan2(y, x))` of arrays, bit for bit: on [-pi, pi]
+    """`_wrap_azimuth(np.arctan2(y, x))` of arrays, bit for bit: on [-pi, pi]
     np.mod adds 2pi to a negative angle and turns -0.0 into +0.0, as adding
     2pi or 0.0 does. A sum that rounds up to 2pi is folded to 0 as before."""
     a = np.arctan2(y, x)
@@ -110,10 +122,10 @@ def _azimuth(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def normalize_yaw(yaw: float) -> float:
+def _normalize_yaw(yaw: float) -> float:
     """Wrap a heading into [-pi, pi). Idempotent: an in-range value passes
     through bit-identical."""
-    return yaw if -math.pi <= yaw < math.pi else wrap_azimuth(yaw + math.pi) - math.pi
+    return yaw if -math.pi <= yaw < math.pi else _wrap_azimuth(yaw + math.pi) - math.pi
 
 
 def spherical_from_xyz(xyz: np.ndarray) -> np.ndarray:
@@ -179,7 +191,7 @@ class Box3D:
         c = self.class_id
         if not _is_integer(c) or not -_MAX_EXACT <= c <= _MAX_EXACT:
             raise ValueError(f"class id must be an integer of magnitude at most 2**53, got {c!r}")
-        object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
+        object.__setattr__(self, "yaw", _normalize_yaw(float(self.yaw)))
 
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz], dtype=np.float64)
@@ -240,7 +252,7 @@ def _validate(data: np.ndarray) -> None:
         for row in data.tolist():
             _box(row)
     if not -math.pi <= lo[6] <= hi[6] < math.pi:
-        data[:, 6] = list(map(normalize_yaw, data[:, 6].tolist()))
+        data[:, 6] = list(map(_normalize_yaw, data[:, 6].tolist()))
 
 
 class BoxSet(Sequence):
@@ -285,6 +297,11 @@ class BoxSet(Sequence):
             return boxes
         rows = [(b.cx, b.cy, b.cz, b.w, b.l, b.h, b.yaw, b.class_id, b.score) for b in boxes]
         return cls._trusted(np.array(rows, dtype=np.float64).reshape(-1, 9))  # a None score becomes NaN
+
+    def __reduce__(self):
+        # rebuilt by the constructor: read-only rows, and no cached arrays
+        # or parent set in the pickle
+        return BoxSet, (self.data,)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -351,7 +368,7 @@ class BoxSet(Sequence):
         if self._azimuths is None:
             xy = self.data[:, :2].tolist()
             # libm per box: np.arctan2 and np.hypot can differ from it in the last bit.
-            center = wrap_azimuth(np.array([math.atan2(cy, cx) for cx, cy in xy]))
+            center = _wrap_azimuth(np.array([math.atan2(cy, cx) for cx, cy in xy]))
             on_axis = np.array([math.hypot(cx, cy) < _Z_AXIS_TOLERANCE for cx, cy in xy], dtype=bool)
             centers, rotations, half = self.frames()
             origin = ((-centers)[:, None, :] @ rotations)[:, 0, :2]
@@ -386,6 +403,12 @@ class Scene:
             raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
         self.points, self._boxes = pts, BoxSet.of(boxes)
         self.domain_tag, self.pseudo_labeled = domain_tag, pseudo_labeled
+
+    def __reduce__(self):
+        # rebuilt by the constructor, which gives the points numpy's builtin
+        # float64 descriptor: an unpickled array holds an equal copy of it,
+        # on which np.minimum.at and np.maximum.at leave their fast path
+        return Scene, (self.points, self._boxes, self.domain_tag, self.pseudo_labeled)
 
     @property
     def boxes(self) -> BoxSet:

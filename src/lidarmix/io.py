@@ -4,6 +4,8 @@ Clouds are headerless little-endian float32 (x, y, z, intensity) streams;
 labels are line-oriented text records "cx cy cz w l h yaw class_id [score]"
 with '#' comments. Config files are flat key = value text with angles in
 degrees; everything is radians internally, converted once at parse time.
+A value the config dataclasses refuse is restated in keys and file units
+from the refusal's fields (`geometry._Refused`), never from its message.
 
 Every file this package writes goes through `_replace_file`, which replaces
 an existing output with a new file instead of truncating it in place.
@@ -14,13 +16,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import re
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxSet, DomainTag, Scene, _Refused
+from .geometry import Box3D, BoxSet, DomainTag, Scene, _JointRefused, _Refused
 from .pipeline import DatasetBundle, PipelineConfig
 
 
@@ -171,29 +172,24 @@ def _replaced(obj, changes: dict):
 
 
 def _restated(exc: ValueError, path: str) -> str:
-    """exc in file terms: a `_check_count` or `_check_real` refusal of a
-    field that a key sets is restated with that key, in its units, and so
-    are the sector packing bound of `SectorParams` and the mode-weight sum of
-    `PerturbationConfig`; other messages are kept."""
-    # SectorParams writes the total in radians with repr, so it reads back exactly
-    packing = re.fullmatch(r"k \* min_width = (\S+) must stay below 2pi", str(exc))
-    if packing:
-        total = math.degrees(float(packing[1]))
-        return f"k_sectors * sector_min_width_deg = {total:.9g} must stay below 360"
-    weights = re.fullmatch(r"mode_weights must sum to 1, (got \S+)", str(exc))
-    if weights:
-        keys = " + ".join(_KEY_OF[f"perturbation.mode_weights.{i}"] for i in range(3))
-        return f"{keys} must sum to 1, {weights[1]}"
+    """exc in file terms: a `_Refused` of fields that keys set is restated
+    from its fields with those keys, in their units; other messages are kept."""
     if not isinstance(exc, _Refused):
         return str(exc)
     # the dataclass that refused: the owner of the line's attribute, or of its
-    # tuple for a tuple item; a refused "name[i]" is that tuple's item i
+    # tuple for a tuple item
     owner = path.split(".")[: -2 if path[-1].isdigit() else -1]
-    key = _KEY_OF.get(".".join([*owner, re.sub(r"\[(\d+)\]", r".\1", exc.name)]))
-    if key is None:
+    joint = isinstance(exc, _JointRefused)
+    keys = [_KEY_OF.get(".".join([*owner, p])) for p in (exc.paths if joint else [exc.path])]
+    if None in keys:
         return str(exc)
-    unit = (lambda x: float(f"{math.degrees(x):.9g}")) if key.endswith("_deg") else (lambda x: x)
-    return str(_Refused(key, unit(exc.value), unit(exc.lo), unit(exc.hi), exc.above, exc.count))
+    degrees = any(key.endswith("_deg") for key in keys)
+    unit = (lambda x: float(f"{math.degrees(x):.9g}")) if degrees else (lambda x: x)
+    if not joint:
+        return str(_Refused(keys[0], unit(exc.value), unit(exc.lo), unit(exc.hi), exc.above, exc.count))
+    if exc.op == "*":
+        return f"{' * '.join(keys)} = {unit(exc.value):.9g} must stay below {unit(exc.bound):.9g}"
+    return f"{' + '.join(keys)} must sum to {exc.bound:g}, got {exc.value}"
 
 
 def parse_config(text: str) -> PipelineConfig:

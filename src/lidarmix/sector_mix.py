@@ -21,11 +21,12 @@ from .geometry import (
     BoxSet,
     DomainTag,
     Scene,
+    _JointRefused,
     _azimuth,
     _check_count,
     _check_real,
+    _wrap_azimuth,
     assign_points,
-    wrap_azimuth,
 )
 
 
@@ -43,7 +44,7 @@ class SectorParams:
         object.__setattr__(self, "min_width", min_width)
         object.__setattr__(self, "max_width", _check_real("max_width", self.max_width, min_width))
         if self.k * min_width >= TWO_PI:
-            raise ValueError(f"k * min_width = {self.k * min_width} must stay below 2pi")
+            raise _JointRefused(("k", "min_width"), "*", self.k * min_width)
 
 
 def _sectors_disjoint(sectors) -> bool:
@@ -74,7 +75,7 @@ class SectorMask:
             start = _check_real("sector start", start)
             # a width of 2pi is refused as a total below
             width = _check_real("sector width", width, 0.0, TWO_PI, above=True)
-            wrapped.append((wrap_azimuth(start), width))
+            wrapped.append((_wrap_azimuth(start), width))
             total += width
         if total >= TWO_PI:
             raise ValueError(f"total sector width {total} must stay below 2pi")
@@ -105,7 +106,7 @@ class SectorMask:
         edges = []
         for start, width in self.sectors:
             edges.append(start)
-            edges.append(wrap_azimuth(start + width))
+            edges.append(_wrap_azimuth(start + width))
         return np.array(edges)
 
 
@@ -121,7 +122,7 @@ def sample_sectors(
             continue
         starts = rng.uniform(0.0, TWO_PI, size=k)
         candidate = tuple(zip(starts.tolist(), widths.tolist()))
-        if _sectors_disjoint([(wrap_azimuth(s), w) for s, w in candidate]):
+        if _sectors_disjoint([(_wrap_azimuth(s), w) for s, w in candidate]):
             return SectorMask(candidate)
     raise RuntimeError(
         f"could not place {k} disjoint sectors with widths in [{min_width}, {max_width}]"

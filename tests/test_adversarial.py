@@ -13,10 +13,10 @@ from lidarmix.adversarial import (
     OneSidedEmpty,
     PerturbationConfig,
     PerturbOutcome,
+    _perturbation_delta,
     adversarial_perturb_detailed,
     advmix_sample,
     consistency_loss,
-    perturbation_delta,
     point_mixup,
     surrogate_loss,
 )
@@ -179,7 +179,7 @@ class TestPerturbationDelta:
     def test_norms_equal_epsilon(self, rng):
         grads = rng.normal(size=(100, 3))
         grads[::7] = 0.0
-        delta = perturbation_delta(GradientField(grads), 0.001)
+        delta = _perturbation_delta(grads, 0.001)
         norms = np.linalg.norm(delta, axis=1)
         nz = np.linalg.norm(grads, axis=1) > 0
         assert np.abs(norms[nz] - 0.001).max() < 1e-9
@@ -187,12 +187,12 @@ class TestPerturbationDelta:
 
     def test_opposes_gradient_componentwise(self, rng):
         grads = rng.normal(size=(50, 3))
-        delta = perturbation_delta(GradientField(grads), 0.5)
+        delta = _perturbation_delta(grads, 0.5)
         assert np.all(delta * grads <= 0.0)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            perturbation_delta(GradientField(np.zeros((1, 3))), 0.0)
+            _perturbation_delta(np.zeros((1, 3)), 0.0)
 
     @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
     def test_rejects_non_finite_epsilon(self, rng, epsilon):
@@ -200,7 +200,7 @@ class TestPerturbationDelta:
         grads = rng.normal(size=(4, 3))
         grads[0, 0] = 0.0
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
-            perturbation_delta(GradientField(grads), epsilon)
+            _perturbation_delta(grads, epsilon)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -219,8 +219,8 @@ class TestPerturbationDelta:
         subset = np.array(
             data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows))), dtype=np.intp
         )
-        part = perturbation_delta(GradientField(g[subset]), epsilon)
-        full = perturbation_delta(GradientField(g), epsilon)
+        part = _perturbation_delta(g[subset], epsilon)
+        full = _perturbation_delta(g, epsilon)
         assert part.tobytes() == full[subset].tobytes()
 
     def test_default_hyperparameters(self):
@@ -312,7 +312,7 @@ def reference_perturb(scene, boxes, provider, cfg, rng):
     the same draws: remove counts every selected point, translate and add
     skip points with a zero gradient."""
     _, field = provider.loss_and_gradient(scene, boxes)
-    delta = perturbation_delta(field, cfg.epsilon)
+    delta = _perturbation_delta(field.grads, cfg.epsilon)
     candidates = np.unique(np.concatenate([reference_points_in_box(scene.xyz, b) for b in boxes]))
     outcome = PerturbOutcome(candidates=int(candidates.size))
     selected = candidates[rng.random(candidates.size) < cfg.rho]

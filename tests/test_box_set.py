@@ -1,14 +1,16 @@
 """BoxSet, the array-backed box sequence, against the list of Box3Ds it
 replaces: the same boxes, the same refusals and the same pipeline results."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarmix.geometry import Box3D, BoxSet, DomainTag, Scene, normalize_yaw
+from lidarmix.geometry import Box3D, BoxSet, DomainTag, Scene, _normalize_yaw
 from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import PipelineConfig, generate_pseudo_labels, run_full
 from lidarmix.synth import synthesize_dataset
@@ -158,7 +160,7 @@ class TestValidation:
     def test_yaws_normalised_like_normalize_yaw(self, ys):
         rows = [[0.0, 0.0, 0.0, 1.0, 1.0, 1.0, y, 0.0, math.nan] for y in ys]
         got = BoxSet(rows).data[:, 6]
-        one_by_one = np.array([normalize_yaw(y) for y in ys])
+        one_by_one = np.array([_normalize_yaw(y) for y in ys])
         assert got.tobytes() == one_by_one.tobytes()
         assert [b.yaw for b in BoxSet(rows)] == [Box3D(0, 0, 0, 1, 1, 1, y).yaw for y in ys]
 
@@ -187,6 +189,46 @@ class TestScene:
     def test_set_is_shared_not_copied(self):
         boxes = BoxSet.of([Box3D(1.0, 2.0, 0.0, 1.0, 2.0, 1.0, 0.5)])
         assert Scene(np.zeros((0, 4)), boxes).boxes is boxes
+
+
+def _copies(value):
+    """value through every pickle protocol, then through copy.deepcopy."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol=protocol))
+    yield copy.deepcopy(value)
+
+
+class TestPickleAndCopy:
+    def test_box_set_stays_read_only(self):
+        boxes = synthesize_dataset(0).target_labeled[0].boxes
+        boxes.frames()
+        for twin in _copies(boxes):
+            assert type(twin) is BoxSet and twin == boxes
+            assert twin.data.tobytes() == boxes.data.tobytes()
+            for array in (twin.data, *twin.frames(), *twin.azimuths()):
+                assert not array.flags.writeable
+
+    def test_subset_leaves_its_parent_behind(self):
+        parent = BoxSet([[float(i), 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, math.nan] for i in range(500)])
+        parent.frames()
+        subset = parent[:1]
+        assert pickle.dumps(subset) == pickle.dumps(BoxSet(subset.data))
+        for twin in _copies(subset):
+            assert twin == subset and twin.frames()[1].tobytes() == subset.frames()[1].tobytes()
+
+    @pytest.mark.parametrize("role", ["target_labeled", "target_unlabeled"])
+    def test_scene_keeps_builtin_float64_and_predictions(self, role):
+        scene = getattr(synthesize_dataset(0), role)[0]
+        oracle = GridClusterOracle()
+        want = oracle.predict(scene).data.tobytes()
+        for twin in _copies(scene):
+            # an unpickled array holds an equal dtype that is not numpy's own
+            # float64, which takes np.minimum.at off its fast path
+            assert twin.points.dtype is np.dtype(np.float64)
+            assert twin.points.tobytes() == scene.points.tobytes() and twin.boxes == scene.boxes
+            assert (twin.domain_tag, twin.pseudo_labeled) == (scene.domain_tag, scene.pseudo_labeled)
+            assert not twin.boxes.data.flags.writeable
+            assert oracle.predict(twin).data.tobytes() == want
 
 
 class _ListOracle:

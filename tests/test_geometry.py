@@ -13,12 +13,12 @@ from lidarmix.geometry import (
     Box3D,
     DomainTag,
     Scene,
+    _normalize_yaw,
+    _wrap_azimuth,
     apply_rigid_transform,
     assign_points,
-    normalize_yaw,
     points_in_box,
     spherical_from_xyz,
-    wrap_azimuth,
     xyz_from_spherical,
 )
 
@@ -71,7 +71,7 @@ class TestSphericalConversion:
 
     @given(st.floats(-1e6, 1e6))
     def test_wrap_azimuth_range(self, angle):
-        a = wrap_azimuth(angle)
+        a = _wrap_azimuth(angle)
         assert 0.0 <= a < 2 * math.pi
 
     @given(
@@ -92,8 +92,8 @@ class TestSphericalConversion:
         )
     )
     def test_wrap_azimuth_float_path_matches_array_path(self, angle):
-        fast = wrap_azimuth(angle)
-        for via_array in (wrap_azimuth(np.float64(angle)), float(wrap_azimuth(np.array([angle]))[0])):
+        fast = _wrap_azimuth(angle)
+        for via_array in (_wrap_azimuth(np.float64(angle)), float(_wrap_azimuth(np.array([angle]))[0])):
             assert type(fast) is float
             assert struct.pack("<d", fast) == struct.pack("<d", via_array)
 
@@ -101,8 +101,8 @@ class TestSphericalConversion:
         # each of these rounds to exactly 2pi under the floored remainder
         for angle in (-1e-17, -5e-324, -2.0**-60):
             assert angle % TWO_PI == TWO_PI
-            assert wrap_azimuth(angle) == 0.0
-        assert struct.pack("<d", wrap_azimuth(-0.0)) == struct.pack("<d", 0.0)
+            assert _wrap_azimuth(angle) == 0.0
+        assert struct.pack("<d", _wrap_azimuth(-0.0)) == struct.pack("<d", 0.0)
 
 
 # Coordinates whose arctan2 hits the edges of the azimuth wrap: signed
@@ -128,11 +128,11 @@ class TestAzimuthHelper:
     def test_matches_wrap_of_arctan2(self, pairs):
         yx = np.array(pairs, dtype=np.float64).reshape(-1, 2)
         y, x = yx[:, 0], yx[:, 1]
-        assert geometry._azimuth(y, x).tobytes() == wrap_azimuth(np.arctan2(y, x)).tobytes()
+        assert geometry._azimuth(y, x).tobytes() == _wrap_azimuth(np.arctan2(y, x)).tobytes()
 
     def test_edges_byte_for_byte(self):
         y, x = np.array([(y, x) for y in _AZIMUTH_EDGES for x in _AZIMUTH_EDGES]).T
-        assert geometry._azimuth(y, x).tobytes() == wrap_azimuth(np.arctan2(y, x)).tobytes()
+        assert geometry._azimuth(y, x).tobytes() == _wrap_azimuth(np.arctan2(y, x)).tobytes()
         # the two rounding edges the fold exists for, and the signed zero
         folded = geometry._azimuth(np.array([-1e-17, -5e-324, -0.0]), np.ones(3))
         assert folded.tobytes() == np.zeros(3).tobytes()
@@ -141,21 +141,21 @@ class TestAzimuthHelper:
 class TestYawNormalization:
     @given(st.floats(-1e6, 1e6))
     def test_idempotent(self, yaw):
-        once = normalize_yaw(yaw)
+        once = _normalize_yaw(yaw)
         assert -math.pi <= once < math.pi
-        assert normalize_yaw(once) == once
+        assert _normalize_yaw(once) == once
 
     def test_pi_maps_to_minus_pi(self):
-        assert normalize_yaw(math.pi) == -math.pi
+        assert _normalize_yaw(math.pi) == -math.pi
 
     def test_in_range_untouched(self):
-        assert normalize_yaw(1e-17) == 1e-17
-        assert normalize_yaw(-math.pi) == -math.pi
+        assert _normalize_yaw(1e-17) == 1e-17
+        assert _normalize_yaw(-math.pi) == -math.pi
 
 
 def own_wrap_normalize_yaw(yaw):
-    """normalize_yaw as it was with its own np.mod and fold, before its
-    out-of-range branch went through wrap_azimuth; of a float or an array."""
+    """_normalize_yaw as it was with its own np.mod and fold, before its
+    out-of-range branch went through _wrap_azimuth; of a float or an array."""
     if type(yaw) is float and -math.pi <= yaw < math.pi:
         return yaw
     in_range = np.logical_and(np.greater_equal(yaw, -math.pi), np.less(yaw, math.pi))
@@ -188,18 +188,18 @@ def _same_bits(got, want):
 
 
 def _normalize_each(yaws):
-    """normalize_yaw, which takes one float, of every value of an array."""
-    return np.array([normalize_yaw(y) for y in yaws.tolist()])
+    """_normalize_yaw, which takes one float, of every value of an array."""
+    return np.array([_normalize_yaw(y) for y in yaws.tolist()])
 
 
 class TestYawFoldMatchesOwnWrap:
-    """normalize_yaw's wrap through wrap_azimuth against the np.mod and
+    """_normalize_yaw's wrap through _wrap_azimuth against the np.mod and
     fold it replaced, bit for bit."""
 
     @settings(max_examples=500)
     @given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(YAW_EDGES))
     def test_scalar_inputs(self, yaw):
-        got, want = normalize_yaw(yaw), own_wrap_normalize_yaw(yaw)
+        got, want = _normalize_yaw(yaw), own_wrap_normalize_yaw(yaw)
         assert type(got) is type(want) is float
         assert struct.pack("<d", got) == struct.pack("<d", want)
 

@@ -15,6 +15,7 @@ from lidarmix.adversarial import PerturbationConfig
 from lidarmix.geometry import Box3D, DomainTag, Scene
 from lidarmix.io import (
     _CONFIG_KEYS,
+    _config_value,
     MalformedRecord,
     format_config,
     load_bundle,
@@ -31,6 +32,10 @@ from lidarmix.pipeline import DatasetBundle, PipelineConfig
 from lidarmix.sector_mix import SectorParams
 from lidarmix.sensor import SensorSpec
 from lidarmix.synth import synthesize_dataset
+
+
+# The words of a refusal's rule, besides the names it refuses.
+_RULE_WORDS = {"must", "be", "an", "integer", "in", "finite", "and", "got", "sum", "to", "stay", "below"}
 
 
 class TestCloudFiles:
@@ -427,6 +432,33 @@ class TestConfig:
     def test_range_refusal_names_line_key_and_file_units(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", list(_CONFIG_KEYS))
+    def test_every_key_refusal_in_file_terms(self, key):
+        # one value each field refuses on its own: a count of 0, a seed past
+        # 2**64, a vfov bound beyond its partner, and -1 for every other float
+        defaults = PipelineConfig()
+        if key == "seed":
+            value = 2**64
+        elif isinstance(_config_value(defaults, key), int):
+            value = 0
+        else:
+            value = {"min_deg": 100, "max_deg": -100}.get(key[-7:], -1)
+        with pytest.raises(ValueError) as refusal:
+            parse_config(f"{key} = {value}\n")
+        prefix = f"line 1: {key} = {value}: "
+        message = str(refusal.value)
+        assert message.startswith(prefix)
+        rest = message[len(prefix) :]
+        # every name is a config key, never an attribute path such as
+        # mode_weights[0] or min_width; the rest is the words of a rule
+        names = set(re.findall(r"\b[A-Za-z_][\w\[\].]*", rest)) - _RULE_WORDS
+        assert names and names <= set(_CONFIG_KEYS)
+        # the refused value is the one in the file, or a named key's default,
+        # in file units as format_config writes them
+        got = float(rest.rpartition(", got ")[2])
+        in_file = [float(f"{_config_value(defaults, name):.9g}") for name in names]
+        assert got in (value, *in_file)
 
     @pytest.mark.parametrize("key", ["k_sectors", "source_channels"])
     def test_count_beyond_float_range_refused(self, key):

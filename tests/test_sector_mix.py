@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import random_box, random_scene, reference_points_in_box
-from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, points_in_box, wrap_azimuth
+from lidarmix.geometry import TWO_PI, Box3D, DomainTag, Scene, _wrap_azimuth, points_in_box
 from lidarmix.sector_mix import (
     SectorMask,
     SectorParams,
@@ -41,7 +41,7 @@ def edge_azimuths(mask):
     neighbours, plus CIRCLE_EDGES."""
     values = list(CIRCLE_EDGES)
     for start, width in mask.sectors:
-        for edge in (start, start + width, wrap_azimuth(start + width)):
+        for edge in (start, start + width, _wrap_azimuth(start + width)):
             values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
     return np.array(values)
 
@@ -91,7 +91,7 @@ class TestSectorMask:
     def test_contains_named_edges_match_per_sector_loop(self):
         mask = SectorMask(((1.0, 0.5), (6.0, 1.0)))  # the second wraps through 0
         # each start is inside and each end, wrapped or not, outside
-        values = [1.0, 1.5, 6.0, 7.0, wrap_azimuth(7.0), np.nextafter(TWO_PI, 0.0), -1e-17, 0.0]
+        values = [1.0, 1.5, 6.0, 7.0, _wrap_azimuth(7.0), np.nextafter(TWO_PI, 0.0), -1e-17, 0.0]
         expected = loop_contains(mask, values)
         assert expected.tolist() == [True, False, True, False, False, True, True, True]
         assert np.array_equal(mask.contains(np.array(values)), expected)
@@ -127,7 +127,7 @@ class TestSectorMask:
     def test_boundary_angles(self):
         mask = SectorMask(((6.0, 1.0), (2.0, 0.5)))
         edges = sorted(mask.boundary_angles().tolist())
-        expected = sorted([6.0, wrap_azimuth(7.0), 2.0, 2.5])
+        expected = sorted([6.0, _wrap_azimuth(7.0), 2.0, 2.5])
         assert edges == pytest.approx(expected)
 
 
@@ -208,7 +208,7 @@ class TestBoxCrossesBoundary:
             corners = box.corners()
             az = np.arctan2(corners[:, 1], corners[:, 0]) % (2 * math.pi)
             # pick a boundary angle inside the corner span: must cross
-            mid = wrap_azimuth(float(np.angle(np.exp(1j * az).mean())))
+            mid = _wrap_azimuth(float(np.angle(np.exp(1j * az).mean())))
             mask = SectorMask(((mid, 0.3),))
             assert box_crosses_boundary(box, mask)
 
@@ -234,7 +234,7 @@ def reference_corner_arc(box):
     each corner taken by the one-box product."""
     signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
     corners = box.center() + (signs * box.half_sizes()) @ box.rotation().T
-    az = np.sort(wrap_azimuth(np.arctan2(corners[:, 1], corners[:, 0])))
+    az = np.sort(_wrap_azimuth(np.arctan2(corners[:, 1], corners[:, 0])))
     gaps = np.diff(az, append=az[0] + TWO_PI)
     i = int(np.argmax(gaps))
     return float(az[(i + 1) % az.size]), float(TWO_PI - gaps[i])
@@ -252,9 +252,9 @@ def reference_enhanced_filter(scene, mask, keep_inside):
     remove = np.zeros(scene.n_points, dtype=bool)
     for box in crossing:
         remove[reference_points_in_box(scene.xyz, box)] = True
-    az = wrap_azimuth(np.arctan2(scene.points[:, 1], scene.points[:, 0]))
+    az = _wrap_azimuth(np.arctan2(scene.points[:, 1], scene.points[:, 0]))
     keep = ~remove & (mask.contains(az) == keep_inside)
-    kept = [b for b in safe if mask.contains(wrap_azimuth(math.atan2(b.cy, b.cx))) == keep_inside]
+    kept = [b for b in safe if mask.contains(_wrap_azimuth(math.atan2(b.cy, b.cx))) == keep_inside]
     return Scene(scene.points[keep], kept, scene.domain_tag, scene.pseudo_labeled)
 
 
@@ -314,7 +314,7 @@ class TestBatchedBoundaryTest:
         for _ in range(100):
             box = random_box(rng, dist_range=(4.0, 25.0))
             start, width = reference_corner_arc(box)
-            mask = SectorMask(((wrap_azimuth(start + width), 0.2),))
+            mask = SectorMask(((_wrap_azimuth(start + width), 0.2),))
             ties += (mask.sectors[0][0] - start) % TWO_PI == width
             assert boxes_cross_boundary([box], mask)[0] == reference_box_crosses_boundary(box, mask)
         assert ties > 0
@@ -342,7 +342,7 @@ class TestEnhancedFilter:
         inside = enhanced_filter(scene, HALF_PLANE, keep_inside=True)
         outside = enhanced_filter(scene, HALF_PLANE, keep_inside=False)
         assert inside.n_points + outside.n_points == scene.n_points
-        az = wrap_azimuth(np.arctan2(inside.points[:, 1], inside.points[:, 0]))
+        az = _wrap_azimuth(np.arctan2(inside.points[:, 1], inside.points[:, 0]))
         assert (az < math.pi).all()
 
     def test_box_inside_kept_sector_retained(self, rng):
