@@ -129,13 +129,15 @@ def _perturbation_delta(g: np.ndarray, epsilon: float) -> np.ndarray:
 
 @dataclass
 class PerturbOutcome:
-    """Bookkeeping from one adversarial_perturb_detailed call."""
+    """Bookkeeping from one adversarial_perturb_detailed call. `loss` is the
+    provider's loss, None when the call took none (no boxes or no points)."""
 
     candidates: int = 0
     translated: int = 0
     added: int = 0
     removed: int = 0
     max_norm_deviation: float = 0.0
+    loss: float | None = None
 
 
 def adversarial_perturb_detailed(
@@ -153,7 +155,7 @@ def adversarial_perturb_detailed(
     a zero gradient have nothing to move along, so translate and add skip
     them. Points outside every box are untouched, and the pseudo boxes ride
     along as the output's labels. Returns the perturbed scene and its
-    counters.
+    counters, with the provider's loss; a non-finite loss raises ValueError.
     """
     if scene.domain_tag is not DomainTag.TARGET_UNLABELED:
         raise ValueError(f"expected a TARGET_UNLABELED scene, got {scene.domain_tag}")
@@ -162,7 +164,8 @@ def adversarial_perturb_detailed(
     if not len(boxes) or scene.n_points == 0:
         return Scene(scene.points.copy(), boxes, DomainTag.TARGET_UNLABELED, True), outcome
 
-    _, field = provider.loss_and_gradient(scene, boxes)
+    loss, field = provider.loss_and_gradient(scene, boxes)
+    outcome.loss = _check_real("loss", float(loss))
     if len(field.grads) != scene.n_points:
         raise ValueError(f"{len(field.grads)} gradient rows for {scene.n_points} points")
     members = field.members or assign_points(scene.xyz, boxes)

@@ -27,8 +27,8 @@ from .pipeline import DatasetBundle, PipelineConfig
 
 class MalformedRecord(ValueError):
     """A cloud or label file that cannot be read or written: a cloud cut
-    mid-record or not finite in float32, or a label record that does not
-    parse, whose message then starts "line N: "."""
+    mid-record or not finite in float32, or a label line that is not UTF-8
+    or does not parse, whose message then starts "line N: "."""
 
 
 RECORD_BYTES = 16  # four little-endian float32 per point
@@ -75,8 +75,14 @@ def write_cloud(scene: Scene, path: str | Path) -> None:
 
 def read_labels(path: str | Path) -> BoxSet:
     rows, lines = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, refused by its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise MalformedRecord(f"line {lineno}: byte 0x{byte:02x} is not UTF-8") from None
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue

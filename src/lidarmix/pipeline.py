@@ -109,11 +109,6 @@ class StageReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-@dataclass
-class PseudoLabelStats:
-    discarded: int = 0
-
-
 def _check_seed(seed: int) -> int:
     """The seed as a Python int, which JSON reports need; ValueError unless
     it is an integer in [-2**63, 2**64)."""
@@ -134,7 +129,7 @@ def _detection_loss(oracle: DetectorOracle, scene: Scene) -> float:
     if not scene.boxes:
         return 0.0
     loss, _ = oracle.loss_and_gradient(scene, scene.boxes)
-    return float(loss)
+    return _check_real("loss", float(loss))
 
 
 def _close_epoch(
@@ -210,7 +205,6 @@ def generate_pseudo_labels(
     oracle: DetectorOracle,
     unlabeled_scenes: Sequence[Scene],
     threshold: float,
-    stats: PseudoLabelStats | None = None,
 ) -> list[Scene]:
     """Attach the oracle's predictions with score >= threshold to each
     scene; scenes stay TARGET_UNLABELED with the pseudo flag set. A box
@@ -221,8 +215,6 @@ def generate_pseudo_labels(
     for scene in unlabeled_scenes:
         preds = BoxSet.of(oracle.predict(scene))
         kept = preds[preds.data[:, 8] >= threshold]  # a missing score is NaN
-        if stats is not None:
-            stats.discarded += len(preds) - len(kept)
         pseudo = Scene(scene.points.copy(), kept, DomainTag.TARGET_UNLABELED, pseudo_labeled=True)
         if teacher is not None:
             teacher[pseudo] = preds
@@ -237,19 +229,6 @@ def _random_rigid_params(rng: np.random.Generator) -> tuple[bool, bool, float, f
         float(rng.uniform(-math.pi / 4, math.pi / 4)),
         float(rng.uniform(0.95, 1.05)),
     )
-
-
-class _LossTap:
-    """A GradientProvider that forwards to the oracle and keeps the float
-    of the last loss it took, but not the gradient field."""
-
-    def __init__(self, oracle: DetectorOracle):
-        self.oracle, self.loss = oracle, None
-
-    def loss_and_gradient(self, scene, boxes):
-        loss, field = self.oracle.loss_and_gradient(scene, boxes)
-        self.loss = float(loss)
-        return loss, field
 
 
 def run_advmix_stage(
@@ -272,13 +251,13 @@ def run_advmix_stage(
     Under `run_full`, an unmixed sample's AM branch is the pseudo scene
     itself: its prediction is the teacher's, which `run_full` hands over,
     and its detection loss is the one the perturbation just took against
-    the same boxes (a scene without points took none and is asked). Called
-    on its own, the stage asks the oracle for both branches of every sample.
+    the same boxes, `PerturbOutcome.loss` (a scene without points took none
+    and is asked). Called on its own, the stage asks the oracle for both
+    branches of every sample. A non-finite loss raises ValueError.
     """
     if not target_labeled or not pseudo_labeled:
         raise ValueError("stage 2 needs non-empty target-labeled and pseudo-labeled sets")
     teacher = _teacher_predictions.get() or {}
-    tap = _LossTap(oracle)
     rng = seeded_rng(cfg.seed, 2)
     report = StageReport("advmix", cfg.seed)
     report.pseudo_boxes_kept = sum(len(s.boxes) for s in pseudo_labeled)
@@ -289,9 +268,8 @@ def run_advmix_stage(
         cons_values = []
         for labeled, unlabeled, _ in _slot_pairs(rng, target_labeled, pseudo_labeled):
             labeled = apply_rigid_transform(labeled, *_random_rigid_params(rng))
-            tap.loss = None
             adv, outcome = adversarial_perturb_detailed(
-                unlabeled, unlabeled.boxes, tap, cfg.perturbation, rng
+                unlabeled, unlabeled.boxes, oracle, cfg.perturbation, rng
             )
             stats.points_total += unlabeled.n_points
             stats.points_candidates += outcome.candidates
@@ -308,10 +286,10 @@ def run_advmix_stage(
             # Unmixed, AM is the pseudo scene itself: under run_full the
             # teacher has predicted it and the perturbation took its loss.
             preds_am = None if mixed else teacher.get(scene_am)
-            if preds_am is None or tap.loss is None:  # a scene without points took none
+            if preds_am is None or outcome.loss is None:  # a scene without points took none
                 det_am = _detection_loss(oracle, scene_am)
             else:
-                det_am = tap.loss
+                det_am = outcome.loss
             det = det_am + _detection_loss(oracle, scene_pm)
             det_losses.append(det)
             try:
@@ -341,23 +319,27 @@ def run_full(
 
     For the length of the call, the teacher's full prediction on each pseudo
     scene is kept, keyed by the scene object, for stage 2 to reuse (see
-    `run_advmix_stage`); nothing is kept from one call to the next."""
+    `run_advmix_stage`); nothing is kept from one call to the next. Their
+    box count less the stage-2 `pseudo_boxes_kept` is the report's
+    `pseudo_boxes_discarded`."""
     empty = [role for role, scenes in vars(datasets).items() if not scenes]
     if empty:
         raise ValueError(f"run_full needs scenes in every role; empty: {', '.join(empty)}")
     oracle = oracle if oracle is not None else GridClusterOracle()
     report_tm = run_targetmix_stage(cfg, datasets.source, datasets.target_labeled, oracle)
-    stats = PseudoLabelStats()
-    token = _teacher_predictions.set({})
+    teacher: dict[Scene, BoxSet] = {}
+    token = _teacher_predictions.set(teacher)
     try:
-        pseudo = generate_pseudo_labels(
-            oracle, datasets.target_unlabeled, cfg.pseudo_score_threshold, stats
-        )
+        threshold = cfg.pseudo_score_threshold
+        pseudo = generate_pseudo_labels(oracle, datasets.target_unlabeled, threshold)
         report_am = run_advmix_stage(cfg, datasets.target_labeled, pseudo, oracle)
     finally:
         _teacher_predictions.reset(token)
-    report_am.pseudo_boxes_discarded = stats.discarded
+    predicted = sum(len(preds) for preds in teacher.values())
+    report_am.pseudo_boxes_discarded = predicted - report_am.pseudo_boxes_kept
     logger.info(
-        "pipeline done: pseudo kept=%d discarded=%d", report_am.pseudo_boxes_kept, stats.discarded
+        "pipeline done: pseudo kept=%d discarded=%d",
+        report_am.pseudo_boxes_kept,
+        report_am.pseudo_boxes_discarded,
     )
     return report_tm, report_am

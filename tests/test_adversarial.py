@@ -295,6 +295,18 @@ class WrappingMembersProvider(SurrogateProvider):
         return loss, GradientField(field.grads, (indptr, indices))
 
 
+class FixedLossProvider(SurrogateProvider):
+    """Surrogate gradient with `loss` in place of the surrogate loss; records
+    the scenes it is asked about."""
+
+    def __init__(self, loss):
+        self.loss, self.asked = loss, []
+
+    def loss_and_gradient(self, scene, boxes):
+        self.asked.append(scene)
+        return self.loss, super().loss_and_gradient(scene, boxes)[1]
+
+
 class RetypedMembersProvider(SurrogateProvider):
     """Surrogate loss whose member indices are cast to `dtype`."""
 
@@ -311,10 +323,10 @@ def reference_perturb(scene, boxes, provider, cfg, rng):
     """Per-selected-point reference for adversarial_perturb_detailed with
     the same draws: remove counts every selected point, translate and add
     skip points with a zero gradient."""
-    _, field = provider.loss_and_gradient(scene, boxes)
+    loss, field = provider.loss_and_gradient(scene, boxes)
     delta = _perturbation_delta(field.grads, cfg.epsilon)
     candidates = np.unique(np.concatenate([reference_points_in_box(scene.xyz, b) for b in boxes]))
-    outcome = PerturbOutcome(candidates=int(candidates.size))
+    outcome = PerturbOutcome(candidates=int(candidates.size), loss=float(loss))
     selected = candidates[rng.random(candidates.size) < cfg.rho]
     modes = rng.choice(3, size=selected.size, p=cfg.mode_weights)
     pts = scene.points.copy()
@@ -510,6 +522,37 @@ class TestAdversarialPerturb:
         )
         assert np.array_equal(out.points, bare.points)
         assert outcome.candidates == 0
+        assert outcome.loss is None
+
+    def test_outcome_keeps_the_provider_loss(self, rng):
+        scene = cluster_scene(rng, [(10, 0, 0), (0, 12, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        provider = FixedLossProvider(np.float32(0.7))
+        _, outcome = adversarial_perturb_detailed(bare, scene.boxes, provider, PerturbationConfig(), rng)
+        assert type(outcome.loss) is float
+        assert outcome.loss == float(np.float32(0.7)) != 0.7
+        _, outcome = adversarial_perturb_detailed(
+            bare, scene.boxes, SurrogateProvider(), PerturbationConfig(), rng
+        )
+        assert outcome.loss == surrogate_loss(bare, scene.boxes)[0]
+
+    def test_scene_without_points_takes_no_loss(self, rng):
+        boxes = cluster_scene(rng, [(10, 0, 0)]).boxes
+        empty = Scene(np.empty((0, 4)), [], DomainTag.TARGET_UNLABELED)
+        provider = FixedLossProvider(1.0)
+        out, outcome = adversarial_perturb_detailed(empty, boxes, provider, PerturbationConfig(), rng)
+        assert out.n_points == 0 and out.boxes == boxes
+        assert outcome == PerturbOutcome()
+        assert outcome.loss is None and provider.asked == []
+
+    @pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_is_refused(self, rng, loss):
+        scene = cluster_scene(rng, [(10, 0, 0)])
+        bare = Scene(scene.points, [], DomainTag.TARGET_UNLABELED)
+        with pytest.raises(ValueError, match=f"^loss must be finite, got {loss!r}$"):
+            adversarial_perturb_detailed(
+                bare, scene.boxes, FixedLossProvider(loss), PerturbationConfig(), rng
+            )
 
 
 class TestPerturbAtScanScale:

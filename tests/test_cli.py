@@ -264,6 +264,15 @@ class TestErrorMapping:
         assert run("adv", str(cloud), str(labels), "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o.bin").exists()
 
+    def test_labels_that_are_not_utf8_are_io_error(self, manifest, tmp_path, capsys):
+        # used to exit 1 with "error: 'utf-8' codec can't decode byte 0xff"
+        cloud = next((manifest / "target_unlabeled").glob("*.bin"))
+        labels = tmp_path / "bad.txt"
+        labels.write_bytes(b"0 0 0 1 1 1 0 0\n\xff\n")
+        assert run("adv", str(cloud), str(labels), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "I/O error: line 2: byte 0xff is not UTF-8\n"
+        assert not (tmp_path / "o.bin").exists()
+
     def test_truncated_cloud_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\x00" * 17)

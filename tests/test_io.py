@@ -193,6 +193,18 @@ class TestLabelFiles:
         with pytest.raises(MalformedRecord, match=r"^line 2: score must be in"):
             read_labels(path)
 
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80", b"\xe2\x82"])
+    @pytest.mark.parametrize("where", ["record", "comment"])
+    def test_line_that_is_not_utf8_malformed(self, tmp_path, bad, where):
+        # a UnicodeDecodeError used to escape, which is a ValueError but no
+        # MalformedRecord
+        path = tmp_path / "labels.txt"
+        line = b"0 0 0 1 1 1 0 0 # " + bad if where == "comment" else b"0 0 " + bad + b" 1 1 1 0 0"
+        path.write_bytes(b"0 0 0 1 1 1 0 0\r\n" + line + b"\n0 0 0 1 1 1 0 0\n")
+        byte = f"0x{bad[0]:02x}"
+        with pytest.raises(MalformedRecord, match=f"^line 2: byte {byte} is not UTF-8$"):
+            read_labels(path)
+
     def test_refusal_names_the_first_bad_line(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("0 0 0 1 1 1 0 0\n\n0 0 0 1 0 1 0 0\n0 0 0 nan 1 1 0 0\n")

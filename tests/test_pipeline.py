@@ -15,7 +15,6 @@ from lidarmix.oracle import GridClusterOracle
 from lidarmix.pipeline import (
     DatasetBundle,
     PipelineConfig,
-    PseudoLabelStats,
     _slot_pairs,
     generate_pseudo_labels,
     run_advmix_stage,
@@ -131,10 +130,8 @@ class TestGeneratePseudoLabels:
     def test_planted_clusters_with_default_threshold(self, rng):
         scene = cluster_scene(rng, [(10, 0, 0), (0, 15, 0), (-12, -12, 0)], n_per=60)
         scene.boxes = []
-        stats = PseudoLabelStats()
-        out = generate_pseudo_labels(GridClusterOracle(), [scene], 0.3, stats)
-        assert len(out[0].boxes) == 3
-        assert stats.discarded == 0
+        out = generate_pseudo_labels(GridClusterOracle(), [scene], 0.3)
+        assert len(out[0].boxes) == len(GridClusterOracle().predict(scene)) == 3
         assert out[0].pseudo_labeled
         assert out[0].domain_tag is DomainTag.TARGET_UNLABELED
 
@@ -317,6 +314,25 @@ class TestRunFull:
         for e in r2.epochs:
             assert e.points_perturbed <= e.points_candidates <= e.points_total
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pseudo_boxes_kept_and_discarded_are_the_teacher_boxes(self, seed):
+        bundle = synthesize_dataset(seed)
+        _, report = run_full(PipelineConfig(seed=seed), bundle)
+        predicted = sum(len(GridClusterOracle().predict(s)) for s in bundle.target_unlabeled)
+        assert report.pseudo_boxes_kept + report.pseudo_boxes_discarded == predicted
+        assert report.pseudo_boxes_discarded > 0
+
+    @pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pseudo_only", [False, True])
+    def test_non_finite_loss_is_refused(self, loss, pseudo_only):
+        # everywhere, stage 1's detection loss meets it first; on pseudo
+        # scenes only, the stage-2 perturbation does
+        oracle = NonFiniteLossOracle(loss, pseudo_only)
+        bundle = synthesize_dataset(0, n_source=2, n_labeled=2, n_unlabeled=2)
+        with pytest.raises(ValueError, match=f"^loss must be finite, got {loss!r}$"):
+            run_full(PipelineConfig(), bundle, oracle)
+        assert any(s.pseudo_labeled for s in oracle.evaluated) == pseudo_only
+
 
 class CountingOracle:
     """GridClusterOracle behind a proxy that counts its calls and keeps the
@@ -353,6 +369,19 @@ class FieldTrackingOracle(CountingOracle):
         loss, field = super().loss_and_gradient(scene, boxes)
         self.fields.append(weakref.ref(field))
         return loss, field
+
+
+class NonFiniteLossOracle(CountingOracle):
+    """Takes `loss` in place of the oracle's own, on pseudo-labeled scenes
+    only if `pseudo_only` is set."""
+
+    def __init__(self, loss, pseudo_only):
+        super().__init__()
+        self.loss, self.pseudo_only = loss, pseudo_only
+
+    def loss_and_gradient(self, scene, boxes):
+        loss, field = super().loss_and_gradient(scene, boxes)
+        return (loss if self.pseudo_only and not scene.pseudo_labeled else self.loss), field
 
 
 class EmptySceneTeacher(CountingOracle):
@@ -437,10 +466,11 @@ class TestStageTwoReuse:
         oracle = EmptySceneTeacher()
         _, report = run_full(cfg, roles, oracle)
 
-        teacher, stats = EmptySceneTeacher(), PseudoLabelStats()
-        pseudo = generate_pseudo_labels(teacher, roles.target_unlabeled, 0.3, stats)
+        teacher = EmptySceneTeacher()
+        pseudo = generate_pseudo_labels(teacher, roles.target_unlabeled, 0.3)
         expected = run_advmix_stage(cfg, roles.target_labeled, pseudo, teacher)
-        expected.pseudo_boxes_discarded = stats.discarded
+        predicted = sum(len(teacher.predict(s)) for s in roles.target_unlabeled)
+        expected.pseudo_boxes_discarded = predicted - expected.pseudo_boxes_kept
         assert pseudo[0].boxes and pseudo[0].n_points == 0
         assert report.to_json() == expected.to_json()
         losses_on_empty = [s for s in oracle.evaluated if s.n_points == 0]
